@@ -541,6 +541,24 @@ mod tests {
     }
 
     #[test]
+    fn rmw_count_tallies_pass_through_rmws_only() {
+        let a = AtomicU64::new(0);
+        let before = sync::rmw_count();
+        a.fetch_add(1, Ordering::Relaxed);
+        a.swap(5, Ordering::Relaxed);
+        let _ = a.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed); // fails
+        a.store(2, Ordering::Relaxed);
+        a.load(Ordering::Relaxed);
+        assert_eq!(sync::rmw_count() - before, 3, "loads and stores are free");
+        // Inside an exploration nothing is tallied on the explorer's side.
+        let before = sync::rmw_count();
+        model(|| {
+            AtomicU64::new(0).fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(sync::rmw_count(), before);
+    }
+
+    #[test]
     fn dfs_finds_the_lost_update_and_replay_reproduces_it() {
         let failure = explore(Config::dfs(10_000), lost_update_model)
             .expect_err("the split increment must lose an update under DFS");

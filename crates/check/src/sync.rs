@@ -9,7 +9,12 @@
 //! interleave another thread before the effect happens, and all atomic
 //! orderings are strengthened to `SeqCst` (the explorer checks sequentially
 //! consistent executions only — see DESIGN.md §9).
+//!
+//! Pass-through mode also keeps a per-thread tally of atomic
+//! read-modify-writes ([`rmw_count`]): a timing-free proxy for hot-path
+//! cache-line traffic, so a test can pin how many RMWs one operation costs.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::AtomicU64 as StdAtomicU64;
@@ -18,6 +23,25 @@ use std::sync::{Arc, PoisonError, TryLockError};
 pub use std::sync::atomic::Ordering;
 
 use crate::exec::{current, Execution, Wait};
+
+thread_local! {
+    /// RMWs this thread performed through the wrappers in pass-through mode.
+    static RMWS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of atomic read-modify-writes (`swap`, `fetch_*`,
+/// `compare_exchange*`, successful or not) the calling thread has performed
+/// through these wrappers **outside** an exploration. Monotonic; take the
+/// difference around the code under measurement. Loads and stores are not
+/// counted, and neither are RMWs inside an exploration (schedule points
+/// there already make every access visible).
+pub fn rmw_count() -> u64 {
+    RMWS.with(Cell::get)
+}
+
+fn count_rmw() {
+    RMWS.with(|c| c.set(c.get() + 1));
+}
 
 /// Parks at a schedule point if called from a virtual thread.
 /// Returns whether an exploration is active (→ force `SeqCst`).
@@ -255,6 +279,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.swap(value, Ordering::SeqCst)
                 } else {
+                    count_rmw();
                     self.inner.swap(value, order)
                 }
             }
@@ -264,6 +289,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_add(value, Ordering::SeqCst)
                 } else {
+                    count_rmw();
                     self.inner.fetch_add(value, order)
                 }
             }
@@ -273,6 +299,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_sub(value, Ordering::SeqCst)
                 } else {
+                    count_rmw();
                     self.inner.fetch_sub(value, order)
                 }
             }
@@ -283,6 +310,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_max(value, Ordering::SeqCst)
                 } else {
+                    count_rmw();
                     self.inner.fetch_max(value, order)
                 }
             }
@@ -292,6 +320,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_or(value, Ordering::SeqCst)
                 } else {
+                    count_rmw();
                     self.inner.fetch_or(value, order)
                 }
             }
@@ -301,6 +330,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_and(value, Ordering::SeqCst)
                 } else {
+                    count_rmw();
                     self.inner.fetch_and(value, order)
                 }
             }
@@ -318,6 +348,7 @@ macro_rules! int_atomic {
                     self.inner
                         .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
                 } else {
+                    count_rmw();
                     self.inner.compare_exchange(cur, new, success, failure)
                 }
             }
@@ -419,6 +450,7 @@ impl AtomicBool {
         if interleave() {
             self.inner.swap(value, Ordering::SeqCst)
         } else {
+            count_rmw();
             self.inner.swap(value, order)
         }
     }
@@ -435,6 +467,7 @@ impl AtomicBool {
             self.inner
                 .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
         } else {
+            count_rmw();
             self.inner.compare_exchange(cur, new, success, failure)
         }
     }
@@ -484,6 +517,7 @@ impl<T> AtomicPtr<T> {
         if interleave() {
             self.inner.swap(ptr, Ordering::SeqCst)
         } else {
+            count_rmw();
             self.inner.swap(ptr, order)
         }
     }
@@ -500,6 +534,7 @@ impl<T> AtomicPtr<T> {
             self.inner
                 .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
         } else {
+            count_rmw();
             self.inner.compare_exchange(cur, new, success, failure)
         }
     }

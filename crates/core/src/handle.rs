@@ -262,7 +262,7 @@ impl<'q, V> MqHandle<'q, V> {
             stats,
             ..
         } = self;
-        stats.contended_retries += queue.insert_batch_with(rng, *shard, hint, buffer);
+        stats.contended_retries += queue.publish(rng, *shard, hint, &mut buffer.drain(..));
     }
 }
 
@@ -314,13 +314,18 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
         if self.policy.batches() {
             self.buffer.push((key, value));
             if self.buffer.len() >= self.policy.insert_batch {
-                self.flush();
+                self.flush_buffer();
             }
         } else {
+            // An unbatched insert is the batch-of-one case of the same
+            // publish routine, without a trip through the buffer.
             let hint = self.insert_hint();
-            self.stats.contended_retries +=
-                self.queue
-                    .insert_with(&mut self.rng, self.shard, hint, key, value);
+            self.stats.contended_retries += self.queue.publish(
+                &mut self.rng,
+                self.shard,
+                hint,
+                &mut std::iter::once((key, value)),
+            );
         }
         if let (Some(t0), Some(obs)) = (start, &self.obs) {
             obs.queue_obs
@@ -642,7 +647,7 @@ mod tests {
         assert_eq!(
             q.approx_len(),
             5,
-            "the flush must publish (and credit len) without waiting for the holder"
+            "the flush must publish (and credit the lane's side count) without waiting for the holder"
         );
         holder.join().unwrap();
         assert_eq!(q.approx_len(), 5);

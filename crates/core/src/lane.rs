@@ -24,6 +24,12 @@
 //!   the heap at acquire and release, so conservation holds by
 //!   construction.
 //!
+//! The lane also publishes its own element count — the heap length, a
+//! single-writer store at guard release, plus a credit that only the side
+//! path touches — and [`Lane::empty_stamp`], one read of the double collect
+//! behind the queue's quiescent-empty claim. No word of a lane is written
+//! by an operation on another lane.
+//!
 //! This module is the one place in the crate allowed to use `unsafe`: the
 //! heap sits in an `UnsafeCell` proven unique by the `EXCL` bit, and the
 //! side-buffer nodes are raw-pointer linked. Every `unsafe` block carries
@@ -38,7 +44,7 @@ use std::ptr;
 
 use seq_pq::{BinaryHeap, Key, SequentialPriorityQueue};
 
-use crate::sync::{AtomicPtr, AtomicU64, Ordering};
+use crate::sync::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// Sentinel published in [`Lane::top`] ([`Lane::sample_top`]) when the lane
 /// holds no element. Inserting `u64::MAX` as a key is rejected at the API
@@ -63,8 +69,9 @@ struct SideNode<V> {
 /// `push`, single-consumer `pop` (callers prove single-consumer by holding
 /// the lane's exclusive borrow).
 struct SideQueue<V> {
-    /// Consumer-owned head (the current stub); touched only under `EXCL`.
-    head: UnsafeCell<*mut SideNode<V>>,
+    /// Consumer-owned head (the current stub); written only under `EXCL`,
+    /// atomic so the lock-free emptiness read can compare it with `tail`.
+    head: AtomicPtr<SideNode<V>>,
     /// Producer-side tail; the last node whose `next` is still null (or
     /// about to be linked).
     tail: AtomicPtr<SideNode<V>>,
@@ -78,7 +85,7 @@ impl<V> SideQueue<V> {
             value: None,
         }));
         Self {
-            head: UnsafeCell::new(stub),
+            head: AtomicPtr::new(stub),
             tail: AtomicPtr::new(stub),
         }
     }
@@ -113,17 +120,25 @@ impl<V> SideQueue<V> {
         // by the `Release` link store that made them reachable, which our
         // `Acquire` load synchronizes with.
         unsafe {
-            let head = *self.head.get();
+            let head = self.head.load(Ordering::Relaxed);
             let next = (*head).next.load(Ordering::Acquire);
             if next.is_null() {
                 return None; // empty, or a push is mid-link
             }
             let key = (*next).key;
             let value = (*next).value.take().expect("side node consumed twice");
-            *self.head.get() = next; // `next` becomes the new stub
+            self.head.store(next, Ordering::Release); // `next` becomes the new stub
             drop(Box::from_raw(head));
             Some((key, value))
         }
+    }
+
+    /// Whether every push that has started has also been consumed: `tail`
+    /// still is the consumer's stub. Unlike `head.next == null` this also
+    /// sees a push that has swapped `tail` but not yet linked its node.
+    fn is_drained(&self) -> bool {
+        let head = self.head.load(Ordering::Acquire);
+        self.tail.load(Ordering::Acquire) == head
     }
 }
 
@@ -135,7 +150,7 @@ impl<V> Drop for SideQueue<V> {
         // consumer) is met trivially.
         unsafe {
             while self.pop().is_some() {}
-            drop(Box::from_raw(*self.head.get()));
+            drop(Box::from_raw(*self.head.get_mut()));
         }
     }
 }
@@ -147,7 +162,8 @@ unsafe impl<V: Send> Send for SideQueue<V> {}
 // touched under the caller-supplied exclusive-borrow proof.
 unsafe impl<V: Send> Sync for SideQueue<V> {}
 
-/// One lane: borrow word + seqlock-stamped top + side-buffer + heap.
+/// One lane: borrow word + seqlock-stamped top + side-buffer + heap, with
+/// the lane's element count beside them on the same cache-padded line.
 pub(crate) struct Lane<V> {
     /// Borrow word: bit 63 = exclusive ([`EXCL`]), low bits = in-flight
     /// side publishers.
@@ -160,13 +176,20 @@ pub(crate) struct Lane<V> {
     top: AtomicU64,
     /// Wait-free insert side-buffer, folded into `heap` under `EXCL`.
     side: SideQueue<V>,
+    /// Heap length as of the last guard release; single writer (the
+    /// `EXCL` holder), so a plain store.
+    len: AtomicUsize,
+    /// Side-buffered entries not yet folded: credited by side publishers
+    /// before their push, debited by the fold that moves them into the
+    /// heap. Only the side path ever touches it.
+    side_len: AtomicUsize,
     /// The sequential heap; unique access proven by the `EXCL` bit.
     heap: UnsafeCell<BinaryHeap<V>>,
 }
 
-// SAFETY: `heap` and `side.head` are only touched while `state`'s `EXCL`
-// bit grants unique access (acquire/release on the borrow word order those
-// accesses); everything else is atomics. Moving `V`s across threads needs
+// SAFETY: `heap` is only touched, and `side.head` only written, while
+// `state`'s `EXCL` bit grants unique access (acquire/release on the borrow
+// word order those accesses); everything else is atomics. Moving `V`s across threads needs
 // `V: Send` only — no `&V` is ever shared.
 unsafe impl<V: Send> Send for Lane<V> {}
 unsafe impl<V: Send> Sync for Lane<V> {}
@@ -178,6 +201,8 @@ impl<V> Lane<V> {
             top_seq: AtomicU64::new(0),
             top: AtomicU64::new(EMPTY_TOP),
             side: SideQueue::new(),
+            len: AtomicUsize::new(0),
+            side_len: AtomicUsize::new(0),
             heap: UnsafeCell::new(BinaryHeap::new()),
         }
     }
@@ -229,17 +254,21 @@ impl<V> Lane<V> {
         self.state.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Deregisters a side publisher after its push (and its `len` credit)
-    /// are visible; `Release` so a shrinker's idle-read of the count
-    /// synchronizes with the push.
+    /// Deregisters a side publisher after its pushes are visible; `Release`
+    /// so a shrinker's idle-read of the count synchronizes with the push.
     pub(crate) fn deregister_inserter(&self) {
         self.state.fetch_sub(1, Ordering::Release);
     }
 
-    /// Wait-free side-buffer publish; the caller must be registered via
-    /// [`Self::register_inserter`].
-    pub(crate) fn side_push(&self, key: Key, value: V) {
-        self.side.push(key, value);
+    /// Wait-free side-buffer publish of every entry; the caller must be
+    /// registered via [`Self::register_inserter`]. The side credit lands
+    /// before the pushes, so an entry is never folded (and debited) ahead
+    /// of its credit and [`Self::approx_len`] cannot underflow.
+    pub(crate) fn side_push_all(&self, entries: &mut impl ExactSizeIterator<Item = (Key, V)>) {
+        self.side_len.fetch_add(entries.len(), Ordering::Relaxed);
+        for (key, value) in entries {
+            self.side.push(key, value);
+        }
     }
 
     /// Spins until no side publisher is in flight. Used by the shrink path
@@ -277,6 +306,33 @@ impl<V> Lane<V> {
     pub(crate) fn load_top(&self) -> u64 {
         self.top.load(Ordering::Relaxed)
     }
+
+    /// The lane's element count: heap length at the last release plus
+    /// unfolded side credits. Never counts an element twice (a fold debits
+    /// the credit before the release republishes the length), exact when
+    /// the lane is quiescent.
+    pub(crate) fn approx_len(&self) -> usize {
+        self.len.load(Ordering::Relaxed) + self.side_len.load(Ordering::Relaxed)
+    }
+
+    /// One read of the quiescent-empty double collect: the lane's `top_seq`
+    /// when it reads settled empty — borrow word 0 (no `EXCL`, no side
+    /// publisher), an even stamp, [`EMPTY_TOP`] published and a side-buffer
+    /// whose `tail` is its consumer head — and `None` otherwise. Two reads
+    /// returning the same stamp bracket an instant at which the lane held
+    /// nothing: an element arriving in between leaves `top`, the borrow
+    /// word or `tail` non-empty, and one leaving in between went through a
+    /// drain-type section, which moved the stamp (DESIGN.md §13.3).
+    pub(crate) fn empty_stamp(&self) -> Option<u64> {
+        if self.state.load(Ordering::Acquire) != 0 {
+            return None;
+        }
+        let seq = self.top_seq.load(Ordering::Acquire);
+        if seq & 1 != 0 || self.top.load(Ordering::Acquire) != EMPTY_TOP {
+            return None;
+        }
+        self.side.is_drained().then_some(seq)
+    }
 }
 
 impl<V> fmt::Debug for Lane<V> {
@@ -302,13 +358,20 @@ impl<V> LaneGuard<'_, V> {
     /// acquire and release automatically; the shrink path also calls it
     /// explicitly after [`Lane::wait_inserters_idle`].
     pub(crate) fn fold(&mut self) {
+        let mut folded = 0;
         // SAFETY: the guard witnesses `EXCL`, satisfying `pop`'s
         // single-consumer requirement; the heap reference is unique for
         // the same reason.
         unsafe {
             while let Some((key, value)) = self.lane.side.pop() {
                 (*self.lane.heap.get()).push(key, value);
+                folded += 1;
             }
+        }
+        if folded > 0 {
+            // Side path only: the uncontended fold finds nothing and
+            // performs no RMW.
+            self.lane.side_len.fetch_sub(folded, Ordering::Relaxed);
         }
     }
 }
@@ -335,6 +398,8 @@ impl<V> Drop for LaneGuard<'_, V> {
         if self.lane.top.load(Ordering::Relaxed) != top {
             self.lane.top.store(top, Ordering::Release);
         }
+        // Single writer under `EXCL`: a plain store on the lane's own line.
+        self.lane.len.store(self.len(), Ordering::Relaxed);
         if self.drain {
             // Single writer under `EXCL` (same argument as acquire).
             let s = self.lane.top_seq.load(Ordering::Relaxed);
@@ -394,13 +459,31 @@ mod tests {
         let lane: Lane<u32> = Lane::new();
         let g = lane.try_exclusive(false).expect("uncontended");
         lane.register_inserter();
-        lane.side_push(5, 50);
+        lane.side_push_all(&mut std::iter::once((5, 50)));
         lane.deregister_inserter();
+        assert_eq!(lane.approx_len(), 1, "side credit counts before the fold");
+        assert_eq!(lane.empty_stamp(), None, "borrowed and side-buffered");
         drop(g); // release fold picks the entry up
         assert_eq!(lane.sample_top(), Some(5));
+        assert_eq!(lane.approx_len(), 1, "folded: counted once, in the heap");
         let mut g = lane.try_exclusive(true).expect("uncontended");
         assert_eq!(g.pop(), Some((5, 50)));
         drop(g);
         assert_eq!(lane.sample_top(), Some(EMPTY_TOP));
+        assert_eq!(lane.approx_len(), 0);
+        assert_eq!(lane.empty_stamp(), Some(2), "two drain sections, even");
+    }
+
+    #[test]
+    fn empty_stamp_sees_an_unfolded_side_entry() {
+        let lane: Lane<u32> = Lane::new();
+        assert_eq!(lane.empty_stamp(), Some(0));
+        lane.register_inserter();
+        assert_eq!(lane.empty_stamp(), None, "publisher in flight");
+        lane.side_push_all(&mut std::iter::once((5, 50)));
+        lane.deregister_inserter();
+        // Top still reads empty (nothing folded yet); only `tail` shows it.
+        assert_eq!(lane.load_top(), EMPTY_TOP);
+        assert_eq!(lane.empty_stamp(), None, "unfolded side entry");
     }
 }

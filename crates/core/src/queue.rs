@@ -49,9 +49,20 @@
 //!
 //! See `DESIGN.md` §7 for the full argument.
 //!
+//! # No global state on the hot path
+//!
+//! Like the paper's MultiQueue, the engine keeps no structure-wide counter:
+//! an uncontended insert or removal writes only the borrow word, top and
+//! length of the lane it visits. Element counts live per lane
+//! ([`approx_len`](SharedPq::approx_len) sums them), and the
+//! *quiescent-empty* claim a failed removal reports is a **double collect**
+//! over every allocated lane, bracketed by a resize sequence number so
+//! elements in a shrink's transit buffer cannot hide between the two
+//! collects (DESIGN.md §13.3).
+//!
 //! [`ElasticPolicy`]: crate::config::ElasticPolicy
 
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 
 use crate::sync::Mutex;
 use crossbeam_utils::CachePadded;
@@ -86,9 +97,11 @@ pub(crate) struct DrainOutcome {
     /// elastic controller shrinks on, as opposed to lost lock races (which
     /// it grows on).
     pub sparse_retries: u64,
-    /// Whether a zero-element result came from a quiescent-empty observation
-    /// (`len` read as zero — either up front, or corroborating an exhaustive
-    /// steal scan that found every lane empty) rather than from `max == 0`.
+    /// Whether a zero-element result came with a quiescent-empty
+    /// observation: a double collect ([`MultiQueue::observe_empty`]) proved
+    /// the structure held no element at some instant during the call. It is
+    /// attempted only on the failure path — when every sampled top read
+    /// empty, or after the steal scan found nothing.
     pub observed_empty: bool,
 }
 
@@ -161,8 +174,11 @@ pub struct MultiQueue<V> {
     /// Completed grow / shrink events (diagnostics + [`QueueTopology`]).
     grow_events: AtomicU64,
     shrink_events: AtomicU64,
+    /// Odd while a shrink's drained elements may sit in its transit buffer
+    /// (in no lane); written only under `resize_mutex`. Brackets the
+    /// quiescent-empty double collect.
+    resize_seq: AtomicU64,
     elastic: Elastic,
-    len: AtomicUsize,
     /// Monotonic id source for registered handles.
     next_handle_id: AtomicU64,
     /// Coherent timestamp source for rank instrumentation (Section 5
@@ -194,8 +210,8 @@ impl<V> MultiQueue<V> {
             resize_mutex: Mutex::new(()),
             grow_events: AtomicU64::new(0),
             shrink_events: AtomicU64::new(0),
+            resize_seq: AtomicU64::new(0),
             elastic: Elastic::default(),
-            len: AtomicUsize::new(0),
             next_handle_id: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             obs: None,
@@ -394,12 +410,14 @@ impl<V> MultiQueue<V> {
             // Retire lanes [target, active): drain each one and re-publish
             // its elements into the surviving prefix. One lane borrow at a
             // time — never two — so the acquisition order cannot deadlock
-            // against operations. `len` is untouched: the elements never
-            // leave the structure.
+            // against operations.
             // The drain reuses the same `drain_heap` core as the public
             // removal paths — uninstrumented (`log: None`): moved elements
             // never leave the structure, so a shrink is invisible to the
-            // rank methodology.
+            // rank methodology. Between the drains and the re-publish they
+            // sit in `moved`, in no lane: the odd `resize_seq` tells the
+            // quiescent-empty double collect not to trust lane reads then.
+            self.resize_seq.fetch_add(1, Ordering::SeqCst);
             let mut moved: Vec<(Key, V)> = Vec::new();
             for retired in target..active {
                 let mut guard = self.lanes[retired].exclusive_blocking(true);
@@ -428,6 +446,7 @@ impl<V> MultiQueue<V> {
                     dst += 1;
                 }
             }
+            self.resize_seq.fetch_add(1, Ordering::SeqCst);
             self.shrink_events.fetch_add(1, Ordering::Relaxed);
         }
         // A fresh resize opens the hysteresis window.
@@ -514,120 +533,47 @@ impl<V> MultiQueue<V> {
         }
     }
 
-    /// The wait-free insert side path: registers as an in-flight publisher
-    /// on lane `q`, re-validates `q` against the lane table (the `SeqCst`
-    /// registration/table-store pairing with the shrink in `resize_locked`
-    /// — DESIGN.md §13.4), credits `len`, pushes into the lane's MPSC
-    /// side-buffer and deregisters. Returns `false` (keeping `value`) when
-    /// the lane was retired, in which case nothing was published. The `len`
-    /// credit lands *before* the push: an element can only be popped after
-    /// a fold observed the push, so every `fetch_sub` is preceded by its
-    /// matching credit — underflow-freedom by construction.
-    fn side_publish_one(&self, q: usize, key: Key, value: &mut Option<V>) -> bool {
-        self.lanes[q].register_inserter();
-        if q >= (self.lane_table.load(Ordering::SeqCst) & ACTIVE_MASK) as usize {
-            self.lanes[q].deregister_inserter();
-            return false;
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
-        self.lanes[q].side_push(key, value.take().expect("value not yet consumed"));
-        self.lanes[q].deregister_inserter();
-        true
-    }
-
-    /// Batch form of [`side_publish_one`](Self::side_publish_one): one
-    /// register/validate/deregister envelope around the whole batch, with
-    /// the full `len` credit up front (over-crediting ahead of visibility
-    /// is safe; under-crediting behind it is the underflow bug).
-    fn side_publish_batch(&self, q: usize, batch: &mut Vec<(Key, V)>) -> bool {
-        self.lanes[q].register_inserter();
-        if q >= (self.lane_table.load(Ordering::SeqCst) & ACTIVE_MASK) as usize {
-            self.lanes[q].deregister_inserter();
-            return false;
-        }
-        self.len.fetch_add(batch.len(), Ordering::Relaxed);
-        for (key, value) in batch.drain(..) {
-            self.lanes[q].side_push(key, value);
-        }
-        self.lanes[q].deregister_inserter();
-        true
-    }
-
-    /// Inserts `(key, value)` into the handle's shard: the sticky `hint`
-    /// first when present (and still active), then random shard lanes, then
-    /// a permanently active floor lane once the retry budget is exhausted.
-    /// A free lane takes the element directly under the exclusive borrow
-    /// (re-validated against the lane table — module docs); a busy lane
-    /// takes it wait-free through its side-buffer, so inserts never block
-    /// behind a drainer. Returns the contended-retry count for
+    /// Publishes `entries` — one for a plain insert, a handle's drained
+    /// buffer for a batched flush — into the handle's shard under a single
+    /// lane borrow: the sticky `hint` first when present (and still
+    /// active), then up to `max_retries` random shard lanes, then a
+    /// permanently active floor lane. A free lane takes the entries
+    /// directly under the exclusive borrow (re-validated against the lane
+    /// table — module docs); a busy lane takes them wait-free through its
+    /// side-buffer, so inserts never block behind a drainer. `entries` is
+    /// exhausted on return. Returns the contended-retry count for
     /// [`HandleStats`](crate::HandleStats): every failed borrow acquisition
-    /// *and* every post-acquisition revalidation failure counts (the batch
-    /// path's semantics, now shared by both).
-    pub(crate) fn insert_with(
+    /// and every post-acquisition revalidation failure counts one.
+    pub(crate) fn publish(
         &self,
         rng: &mut Xoshiro256,
         shard: usize,
         hint: Option<usize>,
-        key: Key,
-        value: V,
+        entries: &mut impl ExactSizeIterator<Item = (Key, V)>,
     ) -> u64 {
-        debug_assert!(key != EMPTY_TOP, "keys are validated at the handle layer");
+        let count = entries.len() as u64;
         let mut lock_retries = 0u64;
-        let mut value = Some(value);
         let (lane, fell_back) = 'published: {
-            if let Some(q) = hint {
-                // A sticky hint can go stale across a shrink; skip it then.
-                if q < self.active_lanes() {
-                    if let Some(mut guard) = self.lanes[q].try_exclusive(false) {
-                        if q < self.active_lanes() {
-                            guard.push(key, value.take().expect("value not yet consumed"));
-                            self.len.fetch_add(1, Ordering::Relaxed);
-                            break 'published (q, false);
-                        }
-                        // Retired while we raced for the borrow.
-                        drop(guard);
-                        lock_retries += 1;
-                    } else {
-                        // A drainer holds the lane: go wait-free.
-                        lock_retries += 1;
-                        if self.side_publish_one(q, key, &mut value) {
-                            break 'published (q, false);
-                        }
-                    }
+            // A sticky hint can go stale across a shrink; skip it then. The
+            // random draws are lazy, so an uncontended publish consumes no
+            // draw with a valid hint and one without, keeping single-thread
+            // replays bit-identical.
+            let hinted = hint.filter(|&q| q < self.active_lanes());
+            let draws = (0..self.config.max_retries)
+                .map(|_| self.stride_lane(rng, shard, self.active_lanes()));
+            for q in hinted.into_iter().chain(draws) {
+                if self.try_publish(q, entries, &mut lock_retries) {
+                    break 'published (q, false);
                 }
             }
-            for _ in 0..self.config.max_retries {
-                let q = self.stride_lane(rng, shard, self.active_lanes());
-                if let Some(mut guard) = self.lanes[q].try_exclusive(false) {
-                    // Re-validate under the borrow: the lane may have been
-                    // retired (and drained) while we raced for it.
-                    if q < self.active_lanes() {
-                        guard.push(key, value.take().expect("value not yet consumed"));
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        break 'published (q, false);
-                    }
-                    drop(guard);
-                    lock_retries += 1;
-                } else {
-                    lock_retries += 1;
-                    if self.side_publish_one(q, key, &mut value) {
-                        break 'published (q, false);
-                    }
-                }
-            }
-            // Retry budget exhausted: target a floor lane, which is never
-            // retired, so no validation loop — and the side path makes even
-            // this arm wait-free (the old code blocked here).
+            // Retry budget exhausted: a floor lane is never retired, so the
+            // attempt cannot fail — and the side path keeps even this arm
+            // wait-free.
             let q = self.stride_lane(rng, shard, self.config.min_active_lanes());
-            if let Some(mut guard) = self.lanes[q].try_exclusive(false) {
-                guard.push(key, value.take().expect("value not yet consumed"));
-                self.len.fetch_add(1, Ordering::Relaxed);
-            } else {
-                assert!(
-                    self.side_publish_one(q, key, &mut value),
-                    "floor lanes are never retired"
-                );
-            }
+            assert!(
+                self.try_publish(q, entries, &mut lock_retries),
+                "floor lanes are never retired"
+            );
             (q, true)
         };
         if let Some(obs) = &self.obs {
@@ -635,79 +581,56 @@ impl<V> MultiQueue<V> {
                 obs.on_lane_contention(lane, lock_retries);
             }
         }
-        self.elastic_tick(1, lock_retries, 0);
+        self.elastic_tick(count, lock_retries, 0);
         lock_retries
     }
 
-    /// Publishes a whole insert batch under a single lane borrow (the
-    /// batched MultiQueue refinement: one random choice and one acquisition
-    /// amortised over the batch, at a bounded rank-quality cost), falling
-    /// back to the wait-free side-buffer when the lane is busy. The `len`
-    /// credit lands under the exclusive borrow (direct path) or before the
-    /// side pushes — never after publication, which is what let a racing
-    /// drain `fetch_sub` below zero. Returns the contended-retry count.
-    pub(crate) fn insert_batch_with(
+    /// One publish attempt on lane `q`: direct under the exclusive borrow,
+    /// or through the side-buffer when the borrow is held. Returns `false`
+    /// (with `entries` untouched) only when `q` was retired under foot.
+    fn try_publish(
         &self,
-        rng: &mut Xoshiro256,
-        shard: usize,
-        hint: Option<usize>,
-        batch: &mut Vec<(Key, V)>,
-    ) -> u64 {
-        if batch.is_empty() {
-            return 0;
-        }
-        let count = batch.len();
-        let mut lock_retries = 0u64;
-        // Same contention strategy as single inserts: bounded try-borrow
-        // attempts on fresh random shard lanes (moving the whole batch
-        // rather than spinning on a contended one), side-publishing past a
-        // busy holder, floor lane once the budget is exhausted.
-        // Acquisitions re-validate the lane table under the borrow.
-        let (lane, fell_back) = 'published: {
-            let mut target = match hint {
-                Some(q) if q < self.active_lanes() => q,
-                _ => self.stride_lane(rng, shard, self.active_lanes()),
-            };
-            for _ in 0..self.config.max_retries {
-                if let Some(mut guard) = self.lanes[target].try_exclusive(false) {
-                    if target < self.active_lanes() {
-                        for (key, value) in batch.drain(..) {
-                            guard.push(key, value);
-                        }
-                        self.len.fetch_add(count, Ordering::Relaxed);
-                        break 'published (target, false);
-                    }
-                    drop(guard);
-                    lock_retries += 1;
-                } else {
-                    lock_retries += 1;
-                    if self.side_publish_batch(target, batch) {
-                        break 'published (target, false);
-                    }
-                }
-                target = self.stride_lane(rng, shard, self.active_lanes());
-            }
-            let target = self.stride_lane(rng, shard, self.config.min_active_lanes());
-            if let Some(mut guard) = self.lanes[target].try_exclusive(false) {
-                for (key, value) in batch.drain(..) {
-                    guard.push(key, value);
-                }
-                self.len.fetch_add(count, Ordering::Relaxed);
-            } else {
-                assert!(
-                    self.side_publish_batch(target, batch),
-                    "floor lanes are never retired"
-                );
-            }
-            (target, true)
+        q: usize,
+        entries: &mut impl ExactSizeIterator<Item = (Key, V)>,
+        lock_retries: &mut u64,
+    ) -> bool {
+        let Some(mut guard) = self.lanes[q].try_exclusive(false) else {
+            // A drainer holds the lane: go wait-free.
+            *lock_retries += 1;
+            return self.side_publish(q, entries);
         };
-        if let Some(obs) = &self.obs {
-            if fell_back || lock_retries >= self.config.contention_event_threshold {
-                obs.on_lane_contention(lane, lock_retries);
-            }
+        // Re-validate under the borrow: the lane may have been retired (and
+        // drained) while we raced for it.
+        if q >= self.active_lanes() {
+            *lock_retries += 1;
+            return false;
         }
-        self.elastic_tick(count as u64, lock_retries, 0);
-        lock_retries
+        for (key, value) in entries {
+            guard.push(key, value);
+        }
+        true
+    }
+
+    /// The wait-free insert side path: registers as an in-flight publisher
+    /// on lane `q`, re-validates `q` against the lane table (the `SeqCst`
+    /// registration/table-store pairing with the shrink in `resize_locked`
+    /// — DESIGN.md §13.4), pushes every entry into the lane's MPSC
+    /// side-buffer and deregisters. The register/deregister bracket is
+    /// what a shrink's idle-wait and the quiescent-empty collect both see.
+    /// Returns `false` (with nothing published) when the lane was retired.
+    fn side_publish(
+        &self,
+        q: usize,
+        entries: &mut impl ExactSizeIterator<Item = (Key, V)>,
+    ) -> bool {
+        let lane = &self.lanes[q];
+        lane.register_inserter();
+        let published = q < (self.lane_table.load(Ordering::SeqCst) & ACTIVE_MASK) as usize;
+        if published {
+            lane.side_push_all(entries);
+        }
+        lane.deregister_inserter();
+        published
     }
 
     /// Picks the victim lane for one deleteMin attempt following the
@@ -742,10 +665,11 @@ impl<V> MultiQueue<V> {
     /// [`HandleStats`](crate::HandleStats): how many retry-loop iterations
     /// were lost to contention or peek/lock races (with the sparse-sample
     /// subset broken out for the elastic controller), and whether a
-    /// zero-element result came from a *quiescent-empty observation* (the
-    /// element count read as zero, or the exhaustive locked steal scan found
-    /// nothing) — the distinction schedulers need between "no work exists"
-    /// and "work exists but this attempt lost races".
+    /// zero-element result came with a *quiescent-empty observation* (a
+    /// double collect over every lane, attempted when every sampled top
+    /// read empty or after the exhaustive locked steal scan found nothing)
+    /// — the distinction schedulers need between "no work exists" and
+    /// "work exists but this attempt lost races".
     ///
     /// When `log` is set (instrumented sessions), every drained element is
     /// stamped with a coherent queue timestamp **while the lane lock is
@@ -786,18 +710,19 @@ impl<V> MultiQueue<V> {
         let mut contended_retries = 0u64;
         let mut sparse_retries = 0u64;
         for _ in 0..self.config.max_retries {
-            if self.len.load(Ordering::Relaxed) == 0 {
-                return DrainOutcome {
-                    drained: 0,
-                    contended_retries,
-                    sparse_retries,
-                    observed_empty: true,
-                };
-            }
             let Some(victim) = self.choose_victim(rng, scratch) else {
-                // Every sampled top looked empty while the structure was not:
-                // the elements live in unsampled lanes. Retry with fresh
-                // samples (and tell the controller the lanes look sparse).
+                // Every sampled top looked empty. Either the structure is
+                // empty — which only the double collect may claim — or the
+                // elements live in unsampled lanes: retry with fresh samples
+                // (and tell the controller the lanes look sparse).
+                if self.observe_empty() {
+                    return DrainOutcome {
+                        drained: 0,
+                        contended_retries,
+                        sparse_retries,
+                        observed_empty: true,
+                    };
+                }
                 contended_retries += 1;
                 sparse_retries += 1;
                 continue;
@@ -811,8 +736,6 @@ impl<V> MultiQueue<V> {
             // The acquisition folded any side-buffered inserts; drain.
             let drained = self.drain_heap(&mut guard, max, out, log.as_deref_mut());
             if drained > 0 {
-                // Under the borrow, symmetric to the insert-side credit.
-                self.len.fetch_sub(drained, Ordering::Relaxed);
                 return DrainOutcome {
                     drained,
                     contended_retries,
@@ -833,12 +756,37 @@ impl<V> MultiQueue<V> {
             sparse_retries,
             // The steal scan exclusively borrowed (and side-folded) every
             // lane and found nothing — but a wait-free side publish can
-            // complete on an already-scanned lane, so only a corroborating
-            // `len` read of zero upgrades the scan to a quiescent-empty
-            // claim (the credit precedes the push, so `len == 0` implies no
-            // unfolded element exists).
-            observed_empty: drained == 0 && self.len.load(Ordering::Relaxed) == 0,
+            // complete on an already-scanned lane, and a shrink can carry
+            // elements past the scan, so only a double collect upgrades the
+            // scan to a quiescent-empty claim.
+            observed_empty: drained == 0 && self.observe_empty(),
         }
+    }
+
+    /// The quiescent-empty claim: `true` only if two successive collects
+    /// over **every allocated lane** read each lane settled empty with the
+    /// same stamp ([`Lane::empty_stamp`]), inside one even, unchanged
+    /// `resize_seq`. Then every instant between the collects saw no element
+    /// in any lane, side-buffer or shrink transit buffer (the double-collect
+    /// snapshot argument, DESIGN.md §13.3). `false` means "not proven", not
+    /// "non-empty". O(lanes) loads, no stores; only failed removals pay it.
+    ///
+    /// Stamps are compared by their sum: each lane's stamp only grows, so
+    /// equal sums mean every lane read the same stamp twice.
+    fn observe_empty(&self) -> bool {
+        let seq = self.resize_seq.load(Ordering::Acquire);
+        if seq & 1 != 0 {
+            return false;
+        }
+        let collect = || {
+            self.lanes.iter().try_fold(0u64, |sum, lane| {
+                Some(sum.wrapping_add(lane.empty_stamp()?))
+            })
+        };
+        let Some(first) = collect() else {
+            return false;
+        };
+        collect() == Some(first) && self.resize_seq.load(Ordering::Acquire) == seq
     }
 
     /// Pops up to `max` elements off an exclusively borrowed lane heap into
@@ -899,7 +847,6 @@ impl<V> MultiQueue<V> {
             let mut guard = self.lanes[i].exclusive_blocking(true);
             let drained = self.drain_heap(&mut guard, max, out, log.as_deref_mut());
             if drained > 0 {
-                self.len.fetch_sub(drained, Ordering::Relaxed);
                 return drained;
             }
         }
@@ -921,8 +868,14 @@ impl<V: Send> SharedPq<V> for MultiQueue<V> {
         self.register_with(policy)
     }
 
+    /// The sum of the per-lane counts — O(lanes) relaxed loads, a
+    /// diagnostic and load signal only. Never exceeds the number of
+    /// elements ever published (each element is counted at most once: in
+    /// its lane's published heap length or in its side credit), exact when
+    /// the structure is quiescent. Elements in a shrink's transit buffer
+    /// are transiently uncounted.
     fn approx_len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.lanes.iter().map(|lane| lane.approx_len()).sum()
     }
 
     fn topology(&self) -> QueueTopology {
@@ -1149,9 +1102,10 @@ mod tests {
     #[test]
     fn batched_inserts_racing_drains_never_underflow_len() {
         // Regression for the batched-insert `len` underflow: a batch flush
-        // used to credit `len` only after releasing the lane, so a drain
-        // scheduled into that window popped the elements and `fetch_sub`'d
-        // `len` below zero — wrapping `approx_len()` to ~2^64. Hammer
+        // used to credit the global `len` only after releasing the lane, so
+        // a drain scheduled into that window popped the elements and
+        // `fetch_sub`'d `len` below zero — wrapping `approx_len()` to ~2^64.
+        // The count is per lane now; the same bounds must hold. Hammer
         // batch-flushes against batch-drains and assert the approximate
         // length never exceeds the number of elements ever inserted (an
         // underflow reads as an astronomically large value). The companion
@@ -1389,6 +1343,57 @@ mod tests {
         all.extend(drain(&q));
         all.sort_unstable();
         assert_eq!(all, (0..threads as u64 * per_thread).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn shrink_transit_is_never_observed_empty() {
+        // Regression for the resize bracket of the quiescent-empty double
+        // collect. A shrink drains every retired lane into a private
+        // transit buffer before re-publishing into the surviving prefix, so
+        // for a moment its elements sit in no lane; a double collect that
+        // fits in that window reads every lane settled empty twice. The
+        // poller pops and immediately re-inserts, so the one element is in
+        // the structure at every instant of every poll it makes: any empty
+        // poll is a false claim. Sixteen lanes make the window wide (all
+        // retired lanes drain before the re-publish); without the
+        // `resize_seq` bracket this fails within milliseconds.
+        let q = MultiQueue::<u64>::new(
+            MultiQueueConfig::with_queues(16)
+                .with_seed(17)
+                .with_elastic(
+                    ElasticPolicy::default()
+                        .with_min_lanes(1)
+                        .with_check_interval(u64::MAX),
+                ),
+        );
+        q.register().insert(7, 7);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stats = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    q.resize_active(16);
+                    q.resize_active(1);
+                }
+            });
+            let mut h = q.register();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(300);
+            while std::time::Instant::now() < deadline && h.stats().empty_polls == 0 {
+                if let Some((k, v)) = h.delete_min() {
+                    h.insert(k, v);
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            h.stats()
+        });
+        assert!(stats.removals > 0, "the poller must find the element");
+        assert_eq!(
+            stats.empty_polls,
+            0,
+            "an empty poll was recorded while the element was in a shrink's transit buffer \
+             ({} shrinks)",
+            q.topology().shrinks
+        );
+        assert_eq!(drain(&q), vec![7]);
     }
 
     #[test]

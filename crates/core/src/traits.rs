@@ -75,9 +75,10 @@ pub struct HandleStats {
     /// empty.
     pub failed_removals: u64,
     /// Subset of [`failed_removals`](HandleStats::failed_removals) where the
-    /// structure was observed **quiescently empty** — the element count read
-    /// as zero, or an exhaustive locked scan found nothing — as opposed to a
-    /// removal lost to contention races. Schedulers use this to tell "no work
+    /// structure was observed **quiescently empty** — for the MultiQueue, a
+    /// double collect read every lane settled empty twice (some instant
+    /// during the call held no element) — as opposed to a removal lost to
+    /// contention races. Schedulers use this to tell "no work
     /// exists right now" (back off, consult termination) apart from "work
     /// exists but this session lost races" (retry immediately), which
     /// [`contended_retries`](HandleStats::contended_retries) accounts.

@@ -12,10 +12,11 @@
 //!   lane emptied between the peek and the lock), and even a truthful empty
 //!   observation says nothing about tasks currently *executing*, which may
 //!   spawn more.
-//! * **"`approx_len() == 0`, so we are done"** — the count is maintained
-//!   with relaxed atomics and excludes elements buffered privately in
-//!   session handles; it is a load-balancing hint, not a linearizable
-//!   emptiness test (see `DESIGN.md` §5.2).
+//! * **"`approx_len() == 0`, so we are done"** — the count is a relaxed
+//!   sum of per-lane counts and excludes elements buffered privately in
+//!   session handles (and, for a moment, elements a shrink is moving); it
+//!   is a load-balancing hint, not a linearizable emptiness test (see
+//!   `DESIGN.md` §5.2).
 //!
 //! The scheduler instead runs the standard count-based quiescence protocol
 //! (the message-counting termination detector of Mattern's credit/count

@@ -5,14 +5,17 @@
 //! 1. **The production `MultiQueue`** compiled with `--features check`, driven
 //!    straight into the historical batched-insert `len` underflow window
 //!    (first test below — it failed before the fix moved the `len` credit
-//!    under the exclusive borrow).
+//!    under the exclusive borrow; the global counter is gone since, and the
+//!    per-lane counts must keep the same bounds).
 //! 2. **A coarsened model of the lane protocol** (DESIGN.md §13): the borrow
-//!    word, the seqlock-stamped top, the side-buffer fold points and the
-//!    Dekker-style publisher-count/shrink pairing, each proven exhaustively
-//!    clean — and each of the three tempting mis-orderings (top published
-//!    before the heap update, side-buffer folded after the pop, borrow
-//!    counter decremented before the push lands) shown to fail, with the
-//!    failing schedule replayed live and from a pinned string.
+//!    word, the seqlock-stamped top, the side-buffer fold points, the
+//!    Dekker-style publisher-count/shrink pairing and the double-collect
+//!    quiescent-empty claim, each proven exhaustively clean — and each
+//!    tempting shortcut (top published before the heap update, side-buffer
+//!    folded after the pop, borrow counter decremented before the push
+//!    lands, a single collect, a collect that ignores the side-buffer
+//!    `tail`) shown to fail, with the failing schedule replayed live and
+//!    from a pinned string.
 //!
 //! Run with: `cargo test --features check --test check_lane_fastpath`
 
@@ -29,8 +32,9 @@ use choice_pq::{HandlePolicy, MultiQueue, MultiQueueConfig, PqHandle, SharedPq};
 /// bump the global `len` only after releasing it, so a drain scheduled into
 /// that window popped the elements and `fetch_sub`'d `len` below zero —
 /// wrapping `approx_len()` to ~2^64. The explorer drives the production
-/// queue straight into that window; with the add under the lane lock the
-/// model is clean under the same budget.
+/// queue straight into that window. The count is per lane now (published
+/// heap length plus side credits), and the same bounds must hold: never
+/// more than was inserted, exact at quiescence.
 #[test]
 fn batched_insert_never_underflows_len() {
     let schedules = check::schedule_budget(2_000);
@@ -43,8 +47,8 @@ fn batched_insert_never_underflows_len() {
             let q = Arc::new(MultiQueue::<u64>::new(
                 MultiQueueConfig::with_queues(1).with_seed(11),
             ));
-            // One element pre-published so the racing drain does not take
-            // the len == 0 quiescent-empty early exit.
+            // One element pre-published so the racing drain has work before
+            // the batch lands.
             q.register_with(HandlePolicy::plain()).insert(0, 0);
             let qa = Arc::clone(&q);
             let inserter = check::spawn(move || {
@@ -83,13 +87,20 @@ fn batched_insert_never_underflows_len() {
 //
 // `crate::lane::Lane` reduced to what the protocol orders: the borrow word
 // (`EXCL` bit + publisher count), the seqlock stamp, the published top and
-// the global `len` credit. Each model moves a single element (key 5), so
-// the heap and the side-buffer coarsen to one-element atomic slots
-// (0 = empty) — the real heap is an `UnsafeCell` proven unique by `EXCL`
-// and the real side-buffer a wait-free MPSC list, and neither adds
+// the side-buffer's producer `tail` / consumer `head`. Each model moves a
+// single element (key 5), so the heap and the side-buffer coarsen to
+// one-element atomic slots (0 = empty) and `tail`/`head` to counters of
+// pushes started / consumed — the real heap is an `UnsafeCell` proven unique
+// by `EXCL` and the real side-buffer a wait-free MPSC list, and neither adds
 // protocol-relevant interleavings beyond the atomic visibility the slots
 // keep. One schedule point per touch keeps every model small enough for
 // the DFS to exhaust.
+//
+// `present` is a ghost, not part of the protocol: a plain `std` atomic
+// (no schedule point) counting the elements in the lane, moved in the same
+// step as the access that makes an element enter (the `tail` swap, the
+// direct heap store) or leave (the pop). Only one virtual thread runs at a
+// time, so reading it gives the exact state at that instant.
 // ---------------------------------------------------------------------------
 
 const EMPTY: u64 = u64::MAX;
@@ -100,8 +111,8 @@ const COUNT_MASK: u64 = EXCL - 1;
 /// the tempting mis-orderings the protocol comments warn about.
 #[derive(Clone, Copy)]
 struct Variant {
-    /// Publish `top` only after the element is in the heap and `len` is
-    /// credited (the real protocol); `false` advertises the top first.
+    /// Publish `top` only after the element is in the heap (the real
+    /// protocol); `false` advertises the top first.
     top_after_element: bool,
     /// Fold the side-buffer into the heap *before* popping (the real
     /// protocol's fold-at-acquire); `false` folds only at release.
@@ -109,12 +120,20 @@ struct Variant {
     /// Keep the publisher count up until the side push lands (the real
     /// protocol); `false` is the blind decrement before the push.
     deregister_after_push: bool,
+    /// Read every lane twice and claim emptiness only if both collects
+    /// agree (the real protocol); `false` trusts a single collect.
+    double_collect: bool,
+    /// Require the side-buffer `tail` to equal the consumer head (the real
+    /// protocol); `false` ignores the side-buffer in the emptiness read.
+    collect_reads_tail: bool,
 }
 
 const FAITHFUL: Variant = Variant {
     top_after_element: true,
     fold_before_pop: true,
     deregister_after_push: true,
+    double_collect: true,
+    collect_reads_tail: true,
 };
 
 /// One lane, coarsened to single-element heap/side slots.
@@ -125,12 +144,16 @@ struct LaneModel {
     top_seq: AtomicU64,
     /// Published cached minimum ([`EMPTY`] for an empty lane).
     top: AtomicU64,
-    /// Global element credit (`MultiQueue::len`).
-    len: AtomicU64,
     /// Side-buffer slot: the key, or 0 for empty.
     side: AtomicU64,
+    /// Side-buffer producer end: pushes started (the real `tail.swap`).
+    tail: AtomicU64,
+    /// Side-buffer consumer end: pushes folded (the real stub `head`).
+    head: AtomicU64,
     /// Heap slot: the key, or 0 for empty.
     heap: AtomicU64,
+    /// Ghost element count (see the section comment).
+    present: std::sync::atomic::AtomicU64,
 }
 
 impl LaneModel {
@@ -139,10 +162,26 @@ impl LaneModel {
             state: AtomicU64::new(0),
             top_seq: AtomicU64::new(0),
             top: AtomicU64::new(EMPTY),
-            len: AtomicU64::new(0),
             side: AtomicU64::new(0),
+            tail: AtomicU64::new(0),
+            head: AtomicU64::new(0),
             heap: AtomicU64::new(0),
+            present: std::sync::atomic::AtomicU64::new(0),
         }
+    }
+
+    /// Ghost bookkeeping; never a schedule point.
+    fn ghost(&self, delta: i64) {
+        self.present
+            .fetch_add(delta as u64, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// The wait-free side push: `tail` swap (the element is now in the
+    /// lane), then the link store that makes it foldable.
+    fn side_push(&self, key: u64) {
+        self.tail.fetch_add(1, Ordering::AcqRel);
+        self.ghost(1);
+        self.side.store(key, Ordering::Release);
     }
 
     /// Folds the side slot into the heap slot (caller holds `EXCL`).
@@ -150,13 +189,37 @@ impl LaneModel {
         let k = self.side.swap(0, Ordering::AcqRel);
         if k != 0 {
             self.heap.store(k, Ordering::Release);
+            // Single writer under `EXCL`; one step keeps the DFS small.
+            self.head.fetch_add(1, Ordering::Release);
         }
     }
 
     /// Pops the heap slot (caller holds `EXCL`).
     fn pop_min(&self) -> Option<u64> {
         let k = self.heap.swap(0, Ordering::AcqRel);
+        if k != 0 {
+            self.ghost(-1);
+        }
         (k != 0).then_some(k)
+    }
+
+    /// One read of the quiescent-empty collect (`Lane::empty_stamp`):
+    /// the stamp when the lane reads settled empty.
+    fn empty_stamp(&self, variant: Variant) -> Option<u64> {
+        if self.state.load(Ordering::Acquire) != 0 {
+            return None;
+        }
+        let seq = self.top_seq.load(Ordering::Acquire);
+        if seq & 1 != 0 || self.top.load(Ordering::Acquire) != EMPTY {
+            return None;
+        }
+        if variant.collect_reads_tail {
+            let head = self.head.load(Ordering::Acquire);
+            if self.tail.load(Ordering::Acquire) != head {
+                return None;
+            }
+        }
+        Some(seq)
     }
 }
 
@@ -167,9 +230,9 @@ impl LaneModel {
 
 /// A direct insert publishes key 5 under the exclusive borrow while a
 /// lock-free sampler performs the seqlock read from `Lane::sample_top`. The
-/// faithful order (heap, then `len`, then `top`) means a validated
-/// non-[`EMPTY`] sample always implies a positive credit; the broken order
-/// stores `top` first, so the sampler acts on a key no drain could return.
+/// faithful order (heap, then `top`) means a validated non-[`EMPTY`] sample
+/// always sees the element in the heap; the broken order stores `top`
+/// first, so the sampler acts on a key no drain could return.
 fn phantom_top_model(variant: Variant) {
     let lane = Arc::new(LaneModel::new());
     let li = Arc::clone(&lane);
@@ -179,33 +242,32 @@ fn phantom_top_model(variant: Variant) {
         // Insert-type section: the seqlock stamp stays even throughout.
         if variant.top_after_element {
             li.heap.store(5, Ordering::Release);
-            li.len.fetch_add(1, Ordering::Release);
             li.top.store(5, Ordering::Release);
         } else {
             li.top.store(5, Ordering::Release); // advertised before it exists
             li.heap.store(5, Ordering::Release);
-            li.len.fetch_add(1, Ordering::Release);
         }
         li.state.fetch_and(!EXCL, Ordering::Release);
     });
     let ls = Arc::clone(&lane);
     let sampler = check::spawn(move || {
-        // Lane::sample_top, with the witness (`len`) read inside the window.
+        // Lane::sample_top, with the witness (the heap slot) read inside
+        // the window.
         let s1 = ls.top_seq.load(Ordering::Acquire);
         if s1 & 1 != 0 {
             return;
         }
         let top = ls.top.load(Ordering::Acquire);
-        let len = ls.len.load(Ordering::Acquire);
+        let heap = ls.heap.load(Ordering::Acquire);
         if ls.top_seq.load(Ordering::Acquire) != s1 {
             return;
         }
         if top != EMPTY {
-            // Every `len` decrement happens inside a drain-type (odd-stamp)
+            // Every heap removal happens inside a drain-type (odd-stamp)
             // section, so a validated even-stamp window with a non-empty
-            // top must overlap a positive credit.
+            // top must overlap the element's presence.
             assert!(
-                len > 0,
+                heap != 0,
                 "phantom top: sampler saw key {top} with no published element"
             );
         }
@@ -214,7 +276,6 @@ fn phantom_top_model(variant: Variant) {
     sampler.join();
     assert_eq!(lane.heap.load(Ordering::Acquire), 5);
     assert_eq!(lane.top.load(Ordering::Acquire), 5);
-    assert_eq!(lane.len.load(Ordering::Acquire), 1);
 }
 
 #[test]
@@ -265,9 +326,9 @@ fn side_fold_model(variant: Variant) {
     let done = Arc::new(AtomicU64::new(0));
     let (li, done_w) = (Arc::clone(&lane), Arc::clone(&done));
     let inserter = check::spawn(move || {
-        // The side-publish path: register, credit len, push, deregister.
+        // The side-publish path: register, push, deregister. (`tail` is
+        // left out: no collector reads it here, and the DFS stays small.)
         li.state.fetch_add(1, Ordering::SeqCst);
-        li.len.fetch_add(1, Ordering::Release);
         li.side.store(5, Ordering::Release);
         li.state.fetch_sub(1, Ordering::Release);
         done_w.store(1, Ordering::Release);
@@ -281,9 +342,6 @@ fn side_fold_model(variant: Variant) {
             ld.fold();
         }
         let popped = ld.pop_min();
-        if popped.is_some() {
-            ld.len.fetch_sub(1, Ordering::Release);
-        }
         if !variant.fold_before_pop {
             ld.fold();
         }
@@ -305,11 +363,6 @@ fn side_fold_model(variant: Variant) {
         left + usize::from(popped.is_some()),
         1,
         "conservation: the element is popped or still held"
-    );
-    assert_eq!(
-        lane.len.load(Ordering::Acquire) as usize,
-        left,
-        "len matches the unpopped remainder"
     );
 }
 
@@ -446,12 +499,153 @@ fn blind_deregister_lets_shrink_retire_a_lane_mid_publish() {
 }
 
 // ---------------------------------------------------------------------------
+// Property 4: the quiescent-empty claim is sound — a double collect that
+// reads the lane settled empty twice, with the same stamp, brackets an
+// instant at which the lane held no element (DESIGN.md §13.3). This is what
+// replaced the global `len == 0` witness.
+// ---------------------------------------------------------------------------
+
+/// What the thread racing the collector does to the lane.
+#[derive(Clone, Copy, Debug)]
+enum Mutator {
+    /// Wait-free side publish of a fresh key.
+    SidePublish,
+    /// Direct insert of a fresh key under an insert-type section.
+    DirectInsert,
+    /// Drain of a pre-published key under a drain-type section.
+    Drain,
+}
+
+/// A collector runs the emptiness read of `MultiQueue::observe_empty` on
+/// one lane while a [`Mutator`] works on it. The ghost count is read at the
+/// instant between the two collects — for a single collect, right after
+/// it — and a claim made while it is non-zero is a false empty. A single
+/// collect lets a direct insert land in words it has already read; a
+/// collect that ignores `tail` misses an element that sits linked but
+/// unfolded in the side-buffer.
+fn empty_claim_model(variant: Variant, mutator: Mutator) {
+    let drain = matches!(mutator, Mutator::Drain);
+    let lane = Arc::new(LaneModel::new());
+    if drain {
+        // Pre-published by a completed insert-type section.
+        lane.heap.store(5, Ordering::Relaxed);
+        lane.top.store(5, Ordering::Relaxed);
+        lane.ghost(1);
+    }
+    let lm = Arc::clone(&lane);
+    let worker = check::spawn(move || match mutator {
+        Mutator::SidePublish => {
+            lm.state.fetch_add(1, Ordering::SeqCst);
+            lm.side_push(5);
+            lm.state.fetch_sub(1, Ordering::Release);
+        }
+        Mutator::DirectInsert => {
+            let prev = lm.state.fetch_or(EXCL, Ordering::AcqRel);
+            assert_eq!(prev & EXCL, 0, "sole borrower in this model");
+            lm.heap.store(5, Ordering::Release);
+            lm.ghost(1);
+            lm.top.store(5, Ordering::Release);
+            lm.state.fetch_and(!EXCL, Ordering::Release);
+        }
+        Mutator::Drain => {
+            let prev = lm.state.fetch_or(EXCL, Ordering::AcqRel);
+            assert_eq!(prev & EXCL, 0, "sole borrower in this model");
+            lm.top_seq.store(1, Ordering::Release); // odd: mid-drain
+            assert_eq!(lm.pop_min(), Some(5));
+            lm.top.store(EMPTY, Ordering::Release);
+            lm.top_seq.store(2, Ordering::Release); // even again
+            lm.state.fetch_and(!EXCL, Ordering::Release);
+        }
+    });
+    let lc = Arc::clone(&lane);
+    let collector = check::spawn(move || {
+        let first = lc.empty_stamp(variant);
+        let present = lc.present.load(std::sync::atomic::Ordering::SeqCst);
+        let second = if variant.double_collect {
+            lc.empty_stamp(variant)
+        } else {
+            first
+        };
+        if first.is_some() && second == first {
+            assert_eq!(
+                present, 0,
+                "false empty: the collect claimed an empty lane holding an element"
+            );
+        }
+    });
+    worker.join();
+    collector.join();
+}
+
+#[test]
+fn faithful_double_collect_never_claims_a_held_element_empty() {
+    for mutator in [Mutator::SidePublish, Mutator::DirectInsert, Mutator::Drain] {
+        let report = check::explore(check::Config::dfs(100_000), move || {
+            empty_claim_model(FAITHFUL, mutator)
+        })
+        .unwrap_or_else(|f| panic!("{mutator:?}: agreeing collects bracket an empty instant: {f}"));
+        assert!(report.exhausted, "model small enough to exhaust");
+    }
+}
+
+/// Explores one broken collect against `mutator`, checks the failure
+/// replays, and returns its first DFS schedule.
+fn broken_collect_schedule(variant: Variant, mutator: Mutator) -> String {
+    let failure = check::explore(check::Config::dfs(100_000), move || {
+        empty_claim_model(variant, mutator)
+    })
+    .expect_err("the broken collect claims empty while an element is held");
+    assert!(
+        failure.message.contains("false empty"),
+        "unexpected failure: {failure}"
+    );
+    let replayed = check::replay(&failure.schedule, move || {
+        empty_claim_model(variant, mutator)
+    })
+    .expect_err("failing schedule must replay deterministically");
+    assert_eq!(replayed.message, failure.message);
+    failure.schedule
+}
+
+#[test]
+fn single_collect_claims_empty_under_an_arriving_element() {
+    let schedule = broken_collect_schedule(
+        Variant {
+            double_collect: false,
+            ..FAITHFUL
+        },
+        Mutator::DirectInsert,
+    );
+    assert_eq!(
+        schedule, PINNED_SINGLE_COLLECT,
+        "DFS is deterministic: first failing schedule is stable; \
+         update the pinned constant if the model legitimately changed"
+    );
+}
+
+#[test]
+fn collect_ignoring_tail_misses_a_side_buffered_element() {
+    let schedule = broken_collect_schedule(
+        Variant {
+            collect_reads_tail: false,
+            ..FAITHFUL
+        },
+        Mutator::SidePublish,
+    );
+    assert_eq!(
+        schedule, PINNED_TAILLESS_COLLECT,
+        "DFS is deterministic: first failing schedule is stable; \
+         update the pinned constant if the model legitimately changed"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Pinned replay regressions (schedule strings captured from the DFS runs
 // above; regenerate by printing `failure.schedule` if a model changes).
 // ---------------------------------------------------------------------------
 
-/// Replays all three pinned schedules, so a regression in the explorer or
-/// the protocol reproduces from this file alone.
+/// Replays every pinned schedule, so a regression in the explorer or the
+/// protocol reproduces from this file alone.
 #[test]
 fn pinned_schedules_replay_every_broken_variant() {
     let phantom = check::replay(PINNED_PHANTOM_TOP, || {
@@ -478,11 +672,37 @@ fn pinned_schedules_replay_every_broken_variant() {
     })
     .expect_err("pinned stranded-element schedule still fails");
     assert!(stranded.message.contains("stranded element"));
+    for (pinned, variant, mutator) in [
+        (
+            PINNED_SINGLE_COLLECT,
+            Variant {
+                double_collect: false,
+                ..FAITHFUL
+            },
+            Mutator::DirectInsert,
+        ),
+        (
+            PINNED_TAILLESS_COLLECT,
+            Variant {
+                collect_reads_tail: false,
+                ..FAITHFUL
+            },
+            Mutator::SidePublish,
+        ),
+    ] {
+        let empty = check::replay(pinned, move || empty_claim_model(variant, mutator))
+            .expect_err("pinned false-empty schedule still fails");
+        assert!(empty.message.contains("false empty"));
+    }
 }
 
 /// First failing DFS schedule for the phantom-top variant.
-const PINNED_PHANTOM_TOP: &str = "0,0,0,1,1,1,1,2,2,2,2,1,1,0,2";
+const PINNED_PHANTOM_TOP: &str = "0,0,0,1,1,1,2,2,2,2,1,1,0,2";
 /// First failing DFS schedule for the fold-after-pop variant.
-const PINNED_STALE_DRAIN: &str = "0,0,0,1,1,1,1,1,1,0,2,2,2,2,2,2,2";
+const PINNED_STALE_DRAIN: &str = "0,0,0,1,1,1,1,1,0,2,2,2,2,2,2,2,2";
 /// First failing DFS schedule for the blind-decrement variant.
 const PINNED_STRANDED: &str = "0,0,0,1,1,1,1,2,2,2,2,2,1,0,2,0,0";
+/// First failing DFS schedule for the single-collect variant.
+const PINNED_SINGLE_COLLECT: &str = "0,0,0,1,2,2,1,1,2,2,1,1,0,2,2";
+/// First failing DFS schedule for the collect that ignores `tail`.
+const PINNED_TAILLESS_COLLECT: &str = "0,0,0,1,1,1,1,1,0,2,2,2,2,2,2,2";

@@ -106,3 +106,25 @@ fn real_multiqueue_single_session_orders_keys() {
         assert_eq!(out, vec![1, 3, 5, 9], "single session must drain in order");
     });
 }
+
+/// The hot-path atomic budget, counted instead of timed: one uncontended
+/// `insert` + `delete_min` pair on a 4-lane queue performs exactly four
+/// atomic read-modify-writes — the exclusive-borrow `fetch_or` and the
+/// release `fetch_and` on each visited lane's own borrow word — and no
+/// RMW on any structure-wide line. A change that adds a hot-path atomic
+/// fails here deterministically, whatever the machine's timing noise.
+#[test]
+fn uncontended_pair_costs_four_lane_local_rmws() {
+    let q = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(4).with_seed(3));
+    let mut h = q.register_with(HandlePolicy::plain());
+    // Warm up so the measured pair runs on a populated structure.
+    h.insert(100, 100);
+    let before = check::sync::rmw_count();
+    h.insert(1, 1);
+    assert!(h.delete_min().is_some());
+    let rmws = check::sync::rmw_count() - before;
+    assert_eq!(
+        rmws, 4,
+        "uncontended insert + delete_min must cost 4 lane-local RMWs, got {rmws}"
+    );
+}
