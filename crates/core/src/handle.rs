@@ -23,7 +23,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use choice_obs::LatencySampler;
+use choice_obs::{Histogram, LatencySampler};
 use rank_stats::inversion::TimestampedRemoval;
 use rank_stats::rng::Xoshiro256;
 
@@ -304,6 +304,65 @@ impl<V: Send> MqHandle<'_, V> {
         self.pops = pops;
         self.pops.drain(..)
     }
+
+    /// The one removal path behind [`PqHandle::delete_min`] and
+    /// [`PqHandle::delete_min_batch_into`]: publishes the private insert
+    /// buffer (a session always observes its own inserts), drains up to
+    /// `max >= 1` entries from the best sampled lane into `out`, and keeps
+    /// the session's stats. On a sampled tick it records the latency in the
+    /// histogram `latency` selects, probes the rank bound of the first
+    /// removal and, in traced mode, writes a span.
+    fn remove_into(
+        &mut self,
+        max: usize,
+        out: &mut Vec<(Key, V)>,
+        latency: fn(&QueueObs) -> &Histogram,
+    ) -> usize {
+        let start = self.sample_start();
+        if !self.buffer.is_empty() {
+            self.flush_buffer();
+        }
+        let drained_from = out.len();
+        let outcome = self.queue.drain_best_with(
+            &mut self.rng,
+            &mut self.scratch,
+            max,
+            out,
+            self.policy.instrument.then_some(&mut self.log),
+        );
+        self.stats.contended_retries += outcome.contended_retries;
+        if outcome.drained == 0 {
+            self.stats.failed_removals += 1;
+            if outcome.observed_empty {
+                self.stats.empty_polls += 1;
+            }
+        } else {
+            self.stats.removals += outcome.drained as u64;
+        }
+        if let (Some(t0), Some(obs)) = (start, &self.obs) {
+            let elapsed = t0.elapsed().as_nanos() as u64;
+            latency(&obs.queue_obs).record(elapsed);
+            // The shadow rank probe rides the same sampled tick: the clock
+            // reads are already paid, the probe adds one relaxed top load
+            // per active lane (see `MultiQueue::lane_rank_bound`). A batch
+            // came from one lane under one borrow, so its first (smallest)
+            // key is the removal the rank bound speaks about.
+            if let Some((key, _)) = out.get(drained_from) {
+                obs.queue_obs
+                    .rank_error
+                    .record(self.queue.lane_rank_bound(*key));
+            }
+            if let Some(ring) = obs.queue_obs.span_ring() {
+                // In-process traced mode: only the queue-op stage carries
+                // time. The trace id folds the handle id over the removal
+                // count so concurrent sessions stay distinguishable.
+                let trace_id = (self.id << 40) | (self.stats.removals & 0xFF_FFFF_FFFF);
+                let now_ns = obs.queue_obs.recorder().now_ns();
+                ring.record(trace_id, 0, now_ns, [0, 0, 0, elapsed, 0]);
+            }
+        }
+        outcome.drained
+    }
 }
 
 impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
@@ -335,51 +394,13 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
     }
 
     fn delete_min(&mut self) -> Option<(Key, V)> {
-        let start = self.sample_start();
-        // A session always observes its own inserts: publish the private
-        // buffer before removing.
-        if !self.buffer.is_empty() {
-            self.flush();
-        }
+        // The batch-of-one case of `delete_min_batch_into`, drained into the
+        // handle's own buffer and timed in the `delete_min` histogram.
         debug_assert!(self.pops.is_empty(), "pop buffer leaked between ops");
-        let outcome = self.queue.drain_best_with(
-            &mut self.rng,
-            &mut self.scratch,
-            1,
-            &mut self.pops,
-            self.policy.instrument.then_some(&mut self.log),
-        );
-        self.stats.contended_retries += outcome.contended_retries;
-        let result = self.pops.pop();
-        match &result {
-            Some(_) => self.stats.removals += 1,
-            None => {
-                self.stats.failed_removals += 1;
-                if outcome.observed_empty {
-                    self.stats.empty_polls += 1;
-                }
-            }
-        }
-        if let (Some(t0), Some(obs)) = (start, &self.obs) {
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            obs.queue_obs.delete_min_ns.record(elapsed);
-            // The shadow rank probe rides the same sampled tick: the clock
-            // reads are already paid, the probe adds one relaxed top load
-            // per active lane (see `MultiQueue::lane_rank_bound`).
-            if let Some((key, _)) = &result {
-                obs.queue_obs
-                    .rank_error
-                    .record(self.queue.lane_rank_bound(*key));
-            }
-            if let Some(ring) = obs.queue_obs.span_ring() {
-                // In-process traced mode: only the queue-op stage carries
-                // time. The trace id folds the handle id over the removal
-                // count so concurrent sessions stay distinguishable.
-                let trace_id = (self.id << 40) | (self.stats.removals & 0xFF_FFFF_FFFF);
-                let now_ns = obs.queue_obs.recorder().now_ns();
-                ring.record(trace_id, 0, now_ns, [0, 0, 0, elapsed, 0]);
-            }
-        }
+        let mut pops = std::mem::take(&mut self.pops);
+        self.remove_into(1, &mut pops, |obs| &obs.delete_min_ns);
+        let result = pops.pop();
+        self.pops = pops;
         result
     }
 
@@ -387,45 +408,7 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
         if max == 0 {
             return 0;
         }
-        let start = self.sample_start();
-        if !self.buffer.is_empty() {
-            self.flush();
-        }
-        let drained_from = out.len();
-        let outcome = self.queue.drain_best_with(
-            &mut self.rng,
-            &mut self.scratch,
-            max,
-            out,
-            self.policy.instrument.then_some(&mut self.log),
-        );
-        self.stats.contended_retries += outcome.contended_retries;
-        if let (Some(t0), Some(obs)) = (start, &self.obs) {
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            obs.queue_obs.delete_min_batch_ns.record(elapsed);
-            // Probe the batch's first (smallest) key: the rest of the batch
-            // came from the same lane under the same lock, so its head is
-            // the removal the rank bound speaks about.
-            if let Some((key, _)) = out.get(drained_from) {
-                obs.queue_obs
-                    .rank_error
-                    .record(self.queue.lane_rank_bound(*key));
-            }
-            if let Some(ring) = obs.queue_obs.span_ring() {
-                let trace_id = (self.id << 40) | (self.stats.removals & 0xFF_FFFF_FFFF);
-                let now_ns = obs.queue_obs.recorder().now_ns();
-                ring.record(trace_id, 0, now_ns, [0, 0, 0, elapsed, 0]);
-            }
-        }
-        if outcome.drained == 0 {
-            self.stats.failed_removals += 1;
-            if outcome.observed_empty {
-                self.stats.empty_polls += 1;
-            }
-            return 0;
-        }
-        self.stats.removals += outcome.drained as u64;
-        outcome.drained
+        self.remove_into(max, out, |obs| &obs.delete_min_batch_ns)
     }
 
     fn flush(&mut self) {

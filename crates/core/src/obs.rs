@@ -226,6 +226,14 @@ mod tests {
             .histogram("mq_op_ns", &[("op", "delete_min"), ("queue", "q0")])
             .expect("delete histogram registered");
         assert!(del_ns.count() >= 100, "failed removals are timed too");
+        let batch_ns = snap
+            .histogram("mq_op_ns", &[("op", "delete_min_batch"), ("queue", "q0")])
+            .expect("batch histogram registered");
+        assert_eq!(
+            batch_ns.count(),
+            0,
+            "delete_min is timed as itself, not as a batch of one"
+        );
     }
 
     #[test]

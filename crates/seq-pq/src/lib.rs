@@ -5,7 +5,8 @@
 //! d-ary heaps). This crate provides several interchangeable sequential
 //! implementations behind the [`SequentialPriorityQueue`] trait:
 //!
-//! * [`BinaryHeap`] — an array-backed binary min-heap;
+//! * [`BinaryHeap`] — an array-backed binary min-heap (one `Vec` of
+//!   `(key, seq, value)` slots, hole-based sifting, bottom-up pop);
 //!   the default lane used by the concurrent MultiQueue.
 //! * [`PairingHeap`] — a pointer-based pairing heap
 //!   with `O(1)` insert and amortised `O(log n)` pop; useful when the workload
@@ -35,8 +36,19 @@
 //! assert_eq!(pq.len(), 2);
 //! ```
 
-#![forbid(unsafe_code)]
+//!
+//! # Unsafe code
+//!
+//! `unsafe` is denied crate-wide and re-allowed in exactly one private
+//! module: the `sift` module of [`binary_heap`], whose `Hole` moves entries
+//! with `ptr::read` / `ptr::copy_nonoverlapping` instead of swapping them.
+//! Every `unsafe` block there carries a `// SAFETY:` comment, which clippy
+//! enforces (`undocumented_unsafe_blocks`).
+
+// `unsafe` is denied crate-wide and re-allowed only in `binary_heap::sift`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod binary_heap;
 pub mod bucket_queue;
