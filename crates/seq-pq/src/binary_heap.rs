@@ -276,8 +276,9 @@ mod sift {
         // as a branch, not as `child += (right < left) as usize`: a
         // predicted branch lets the CPU start loading the next level before
         // this comparison resolves, while a select makes every level's
-        // cache miss wait for the previous one (on a 2^19-entry heap the
-        // select measured 273-280 ns per push + pop, the branch 152-162).
+        // cache miss wait for the previous one (on a 2^19-entry heap on a
+        // 2-vCPU Xeon VM the select measured 273-280 ns per push + pop, the
+        // branch 152-162; DESIGN.md §13.7).
         while child + 1 < end {
             // SAFETY: `child` and `child + 1` are below `end` and both are
             // children of the hole, so neither is the hole.
