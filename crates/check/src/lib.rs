@@ -559,6 +559,34 @@ mod tests {
     }
 
     #[test]
+    fn seqcst_count_tallies_pass_through_seqcst_accesses_only() {
+        let a = AtomicU64::new(0);
+        let p = sync::AtomicPtr::<u64>::default();
+        let b = sync::AtomicBool::new(false);
+        let before = sync::seqcst_count();
+        a.load(Ordering::SeqCst);
+        a.store(1, Ordering::SeqCst);
+        a.fetch_add(1, Ordering::SeqCst);
+        p.load(Ordering::SeqCst);
+        b.swap(true, Ordering::SeqCst);
+        // A compare-exchange counts once when either ordering is `SeqCst`.
+        let _ = a.compare_exchange(0, 1, Ordering::AcqRel, Ordering::SeqCst);
+        let _ = a.compare_exchange(0, 1, Ordering::SeqCst, Ordering::Relaxed);
+        assert_eq!(sync::seqcst_count() - before, 7);
+        let before = sync::seqcst_count();
+        a.load(Ordering::Acquire);
+        a.store(1, Ordering::Release);
+        a.fetch_or(1, Ordering::AcqRel);
+        let _ = a.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire);
+        assert_eq!(sync::seqcst_count(), before, "weaker orderings are free");
+        // Inside an exploration nothing is tallied on the explorer's side.
+        model(|| {
+            AtomicU64::new(0).fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(sync::seqcst_count(), before);
+    }
+
+    #[test]
     fn dfs_finds_the_lost_update_and_replay_reproduces_it() {
         let failure = explore(Config::dfs(10_000), lost_update_model)
             .expect_err("the split increment must lose an update under DFS");

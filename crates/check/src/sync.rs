@@ -10,9 +10,11 @@
 //! orderings are strengthened to `SeqCst` (the explorer checks sequentially
 //! consistent executions only — see DESIGN.md §9).
 //!
-//! Pass-through mode also keeps a per-thread tally of atomic
-//! read-modify-writes ([`rmw_count`]): a timing-free proxy for hot-path
-//! cache-line traffic, so a test can pin how many RMWs one operation costs.
+//! Pass-through mode also keeps two per-thread tallies: atomic
+//! read-modify-writes ([`rmw_count`]), a timing-free proxy for hot-path
+//! cache-line traffic, and atomic accesses made with `SeqCst` ordering
+//! ([`seqcst_count`]), which cost a full fence on most hardware. A test can
+//! pin how many of each one operation costs.
 
 use std::cell::Cell;
 use std::fmt;
@@ -27,6 +29,8 @@ use crate::exec::{current, Execution, Wait};
 thread_local! {
     /// RMWs this thread performed through the wrappers in pass-through mode.
     static RMWS: Cell<u64> = const { Cell::new(0) };
+    /// `SeqCst` accesses this thread performed in pass-through mode.
+    static SEQCSTS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Number of atomic read-modify-writes (`swap`, `fetch_*`,
@@ -41,6 +45,30 @@ pub fn rmw_count() -> u64 {
 
 fn count_rmw() {
     RMWS.with(|c| c.set(c.get() + 1));
+}
+
+/// Number of atomic accesses (loads, stores and read-modify-writes, as for
+/// [`rmw_count`]) the calling thread has performed through these wrappers
+/// with `SeqCst` ordering **outside** an exploration. A compare-exchange
+/// counts once if either of its orderings is `SeqCst`. Monotonic; take the
+/// difference around the code under measurement. Inside an exploration
+/// every access is strengthened to `SeqCst` and none is counted.
+pub fn seqcst_count() -> u64 {
+    SEQCSTS.with(Cell::get)
+}
+
+fn count_order(order: Ordering) {
+    if order == Ordering::SeqCst {
+        SEQCSTS.with(|c| c.set(c.get() + 1));
+    }
+}
+
+fn count_cas_order(success: Ordering, failure: Ordering) {
+    count_order(if failure == Ordering::SeqCst {
+        failure
+    } else {
+        success
+    });
 }
 
 /// Parks at a schedule point if called from a virtual thread.
@@ -261,6 +289,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.load(Ordering::SeqCst)
                 } else {
+                    count_order(order);
                     self.inner.load(order)
                 }
             }
@@ -270,6 +299,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.store(value, Ordering::SeqCst)
                 } else {
+                    count_order(order);
                     self.inner.store(value, order)
                 }
             }
@@ -279,6 +309,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.swap(value, Ordering::SeqCst)
                 } else {
+                    count_order(order);
                     count_rmw();
                     self.inner.swap(value, order)
                 }
@@ -289,6 +320,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_add(value, Ordering::SeqCst)
                 } else {
+                    count_order(order);
                     count_rmw();
                     self.inner.fetch_add(value, order)
                 }
@@ -299,6 +331,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_sub(value, Ordering::SeqCst)
                 } else {
+                    count_order(order);
                     count_rmw();
                     self.inner.fetch_sub(value, order)
                 }
@@ -310,6 +343,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_max(value, Ordering::SeqCst)
                 } else {
+                    count_order(order);
                     count_rmw();
                     self.inner.fetch_max(value, order)
                 }
@@ -320,6 +354,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_or(value, Ordering::SeqCst)
                 } else {
+                    count_order(order);
                     count_rmw();
                     self.inner.fetch_or(value, order)
                 }
@@ -330,6 +365,7 @@ macro_rules! int_atomic {
                 if interleave() {
                     self.inner.fetch_and(value, Ordering::SeqCst)
                 } else {
+                    count_order(order);
                     count_rmw();
                     self.inner.fetch_and(value, order)
                 }
@@ -348,6 +384,7 @@ macro_rules! int_atomic {
                     self.inner
                         .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
                 } else {
+                    count_cas_order(success, failure);
                     count_rmw();
                     self.inner.compare_exchange(cur, new, success, failure)
                 }
@@ -432,6 +469,7 @@ impl AtomicBool {
         if interleave() {
             self.inner.load(Ordering::SeqCst)
         } else {
+            count_order(order);
             self.inner.load(order)
         }
     }
@@ -441,6 +479,7 @@ impl AtomicBool {
         if interleave() {
             self.inner.store(value, Ordering::SeqCst)
         } else {
+            count_order(order);
             self.inner.store(value, order)
         }
     }
@@ -450,6 +489,7 @@ impl AtomicBool {
         if interleave() {
             self.inner.swap(value, Ordering::SeqCst)
         } else {
+            count_order(order);
             count_rmw();
             self.inner.swap(value, order)
         }
@@ -467,6 +507,7 @@ impl AtomicBool {
             self.inner
                 .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
         } else {
+            count_cas_order(success, failure);
             count_rmw();
             self.inner.compare_exchange(cur, new, success, failure)
         }
@@ -499,6 +540,7 @@ impl<T> AtomicPtr<T> {
         if interleave() {
             self.inner.load(Ordering::SeqCst)
         } else {
+            count_order(order);
             self.inner.load(order)
         }
     }
@@ -508,6 +550,7 @@ impl<T> AtomicPtr<T> {
         if interleave() {
             self.inner.store(ptr, Ordering::SeqCst)
         } else {
+            count_order(order);
             self.inner.store(ptr, order)
         }
     }
@@ -517,6 +560,7 @@ impl<T> AtomicPtr<T> {
         if interleave() {
             self.inner.swap(ptr, Ordering::SeqCst)
         } else {
+            count_order(order);
             count_rmw();
             self.inner.swap(ptr, order)
         }
@@ -534,6 +578,7 @@ impl<T> AtomicPtr<T> {
             self.inner
                 .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
         } else {
+            count_cas_order(success, failure);
             count_rmw();
             self.inner.compare_exchange(cur, new, success, failure)
         }

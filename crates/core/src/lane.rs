@@ -1,15 +1,16 @@
 //! The lock-free lane fast path: seqlock-published top, borrow-state
 //! exclusive acquisition, and a wait-free MPSC insert side-buffer.
 //!
-//! A [`Lane`] replaces the old `Mutex<BinaryHeap<V>>` front door with three
+//! A [`Lane`] replaces the old `Mutex<BinaryHeap<V>>` front door with four
 //! cooperating words (DESIGN.md §13):
 //!
-//! - **`state`** — an `AtomicRefCell`-style borrow word: bit 63 is the
+//! - **`borrow`** — an `AtomicRefCell`-style borrow word holding only the
 //!   exclusive-borrow flag ([`EXCL`], held by drains, steals, shrinks and
-//!   direct inserts), the low 63 bits count in-flight side-buffer
-//!   publishers. Exclusive acquisition is a single `fetch_or`; a loser has
+//!   direct inserts). Acquisition is a single `fetch_or`; a loser has
 //!   nothing to undo because the `fetch_or` of an already-set bit is a
-//!   no-op.
+//!   no-op, and the holder releases with a plain store.
+//! - **`publishers`** — the count of in-flight side-buffer publishers, on
+//!   a word of its own so that a borrow release need not preserve it.
 //! - **`top_seq`/`top`** — a seqlock-style stamped top-of-lane. `top_seq`
 //!   is odd exactly while a *drain-type* exclusive section (one that may
 //!   remove the current minimum) is in progress, so a lock-free reader can
@@ -29,6 +30,17 @@
 //! path touches — and [`Lane::empty_stamp`], one read of the double collect
 //! behind the queue's quiescent-empty claim. No word of a lane is written
 //! by an operation on another lane.
+//!
+//! **Layout.** A lane fills one 128-byte `CachePadded` slot as two 64-byte
+//! lines, split by writer. The first line holds every word the borrow
+//! holder writes: `borrow`, `top_seq`, `top`, the published `len` and the
+//! heap's header. The second holds the words side publishers write —
+//! `tail`, `side_len` and `publishers` — plus the consumer `head`, which a
+//! fold writes only when it found side entries. Every insert and
+//! deleteMin goes to a random lane, so on two cores about half of all
+//! borrows land on a line the other core wrote last; with this split an
+//! uncontended borrow moves one line and costs one RMW (the `fetch_or`),
+//! and side publishers do not pull the holder's line away from it.
 //!
 //! This module is the one place in the crate allowed to use `unsafe`: the
 //! heap sits in an `UnsafeCell` proven unique by the `EXCL` bit, and the
@@ -51,11 +63,8 @@ use crate::sync::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 /// boundary (`check_key`) so the sentinel is unambiguous.
 pub(crate) const EMPTY_TOP: u64 = u64::MAX;
 
-/// Exclusive-borrow flag in [`Lane::state`] (bit 63).
+/// Exclusive-borrow flag: the only value [`Lane::borrow`] holds besides 0.
 const EXCL: u64 = 1 << 63;
-
-/// Low bits of [`Lane::state`]: the in-flight side-publisher count.
-const COUNT_MASK: u64 = EXCL - 1;
 
 /// One node of the side-buffer. `value` is an `Option` only so the single
 /// consumer can move it out of the node that then becomes the new stub.
@@ -67,7 +76,9 @@ struct SideNode<V> {
 
 /// Vyukov-style MPSC queue with a stub node: multi-producer wait-free
 /// `push`, single-consumer `pop` (callers prove single-consumer by holding
-/// the lane's exclusive borrow).
+/// the lane's exclusive borrow). `repr(C)` keeps its two words where
+/// [`Lane`]'s layout puts them.
+#[repr(C)]
 struct SideQueue<V> {
     /// Consumer-owned head (the current stub); written only under `EXCL`,
     /// atomic so the lock-free emptiness read can compare it with `tail`.
@@ -94,8 +105,8 @@ impl<V> SideQueue<V> {
     /// CAS loop. Between the `swap` and the link store the node is
     /// reachable from `tail` but not yet from `head`; the consumer simply
     /// reports empty past that point and retrieves the entry at a later
-    /// fold (the publisher count in `Lane::state` is what makes a shrink
-    /// wait for the link to land).
+    /// fold (the publisher count in `Lane::publishers` is what makes a
+    /// shrink wait for the link to land).
     fn push(&self, key: Key, value: V) {
         let node = Box::into_raw(Box::new(SideNode {
             next: AtomicPtr::new(ptr::null_mut()),
@@ -162,33 +173,41 @@ unsafe impl<V: Send> Send for SideQueue<V> {}
 // touched under the caller-supplied exclusive-borrow proof.
 unsafe impl<V: Send> Sync for SideQueue<V> {}
 
-/// One lane: borrow word + seqlock-stamped top + side-buffer + heap, with
-/// the lane's element count beside them on the same cache-padded line.
+/// One lane: borrow word + seqlock-stamped top + heap on the holder's
+/// line, side-buffer + side count + publisher count on the publishers'
+/// line (module docs, "Layout"). `repr(C)` fixes that field order; the
+/// `CachePadded` slot around each lane keeps the pair of lines to itself.
+#[repr(C)]
 pub(crate) struct Lane<V> {
-    /// Borrow word: bit 63 = exclusive ([`EXCL`]), low bits = in-flight
-    /// side publishers.
-    state: AtomicU64,
+    // ---- line 1: written by the borrow holder only ----
+    /// Borrow word: [`EXCL`] while exclusively borrowed, 0 otherwise.
+    borrow: AtomicU64,
     /// Seqlock stamp for `top`: odd while a drain-type exclusive section
     /// is in progress.
     top_seq: AtomicU64,
     /// Cached minimum key, [`EMPTY_TOP`] when the lane is empty. Published
     /// by [`LaneGuard`] release.
     top: AtomicU64,
-    /// Wait-free insert side-buffer, folded into `heap` under `EXCL`.
-    side: SideQueue<V>,
     /// Heap length as of the last guard release; single writer (the
     /// `EXCL` holder), so a plain store.
     len: AtomicUsize,
+    /// The sequential heap; unique access proven by the `EXCL` bit. Only
+    /// its header lives here; the entries are on the heap's own allocation.
+    heap: UnsafeCell<BinaryHeap<V>>,
+    // ---- line 2: written by side publishers (and by non-empty folds) ----
+    /// Wait-free insert side-buffer, folded into `heap` under `EXCL`.
+    side: SideQueue<V>,
     /// Side-buffered entries not yet folded: credited by side publishers
     /// before their push, debited by the fold that moves them into the
     /// heap. Only the side path ever touches it.
     side_len: AtomicUsize,
-    /// The sequential heap; unique access proven by the `EXCL` bit.
-    heap: UnsafeCell<BinaryHeap<V>>,
+    /// In-flight side publishers, registered before their lane-table
+    /// re-validation and deregistered after their pushes landed.
+    publishers: AtomicU64,
 }
 
 // SAFETY: `heap` is only touched, and `side.head` only written, while
-// `state`'s `EXCL` bit grants unique access (acquire/release on the borrow
+// `borrow`'s `EXCL` bit grants unique access (acquire/release on the borrow
 // word order those accesses); everything else is atomics. Moving `V`s across threads needs
 // `V: Send` only — no `&V` is ever shared.
 unsafe impl<V: Send> Send for Lane<V> {}
@@ -197,13 +216,14 @@ unsafe impl<V: Send> Sync for Lane<V> {}
 impl<V> Lane<V> {
     pub(crate) fn new() -> Self {
         Self {
-            state: AtomicU64::new(0),
+            borrow: AtomicU64::new(0),
             top_seq: AtomicU64::new(0),
             top: AtomicU64::new(EMPTY_TOP),
-            side: SideQueue::new(),
             len: AtomicUsize::new(0),
-            side_len: AtomicUsize::new(0),
             heap: UnsafeCell::new(BinaryHeap::new()),
+            side: SideQueue::new(),
+            side_len: AtomicUsize::new(0),
+            publishers: AtomicU64::new(0),
         }
     }
 
@@ -216,8 +236,7 @@ impl<V> Lane<V> {
     /// Failure is free: `fetch_or` of an already-set bit changed nothing,
     /// so there is no loser cleanup (the AtomicRefCell trick).
     pub(crate) fn try_exclusive(&self, drain: bool) -> Option<LaneGuard<'_, V>> {
-        let prev = self.state.fetch_or(EXCL, Ordering::Acquire);
-        if prev & EXCL != 0 {
+        if self.borrow.fetch_or(EXCL, Ordering::Acquire) != 0 {
             return None;
         }
         if drain {
@@ -244,20 +263,21 @@ impl<V> Lane<V> {
         }
     }
 
-    /// Registers an in-flight side publisher. `SeqCst` pairs with the
-    /// `SeqCst` lane-table store in `resize_locked`: if the publisher's
+    /// Registers an in-flight side publisher in [`Self::publishers`].
+    /// `SeqCst` pairs with the `SeqCst` lane-table store in
+    /// `resize_locked`: if the publisher's
     /// subsequent table load sees the pre-shrink table, this increment is
     /// ordered before the shrinker's [`Self::wait_inserters_idle`] loop,
     /// so the shrink waits for the push to land (Dekker-style store/load
     /// pairing; see DESIGN.md §13.4).
     pub(crate) fn register_inserter(&self) {
-        self.state.fetch_add(1, Ordering::SeqCst);
+        self.publishers.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Deregisters a side publisher after its pushes are visible; `Release`
     /// so a shrinker's idle-read of the count synchronizes with the push.
     pub(crate) fn deregister_inserter(&self) {
-        self.state.fetch_sub(1, Ordering::Release);
+        self.publishers.fetch_sub(1, Ordering::Release);
     }
 
     /// Wait-free side-buffer publish of every entry; the caller must be
@@ -279,7 +299,7 @@ impl<V> Lane<V> {
     /// is zero the fold is complete.
     pub(crate) fn wait_inserters_idle(&self) {
         let mut spins = 0u32;
-        while self.state.load(Ordering::SeqCst) & COUNT_MASK != 0 {
+        while self.publishers.load(Ordering::SeqCst) != 0 {
             crate::sync::spin(&mut spins);
         }
     }
@@ -316,15 +336,17 @@ impl<V> Lane<V> {
     }
 
     /// One read of the quiescent-empty double collect: the lane's `top_seq`
-    /// when it reads settled empty — borrow word 0 (no `EXCL`, no side
-    /// publisher), an even stamp, [`EMPTY_TOP`] published and a side-buffer
-    /// whose `tail` is its consumer head — and `None` otherwise. Two reads
-    /// returning the same stamp bracket an instant at which the lane held
-    /// nothing: an element arriving in between leaves `top`, the borrow
-    /// word or `tail` non-empty, and one leaving in between went through a
-    /// drain-type section, which moved the stamp (DESIGN.md §13.3).
+    /// when it reads settled empty — borrow word 0 (no `EXCL`), no side
+    /// publisher in flight, an even stamp, [`EMPTY_TOP`] published and a
+    /// side-buffer whose `tail` is its consumer head — and `None`
+    /// otherwise. Two reads returning the same stamp bracket an instant at
+    /// which the lane held nothing: an element arriving in between leaves
+    /// `top`, the borrow word, the publisher count or `tail` non-empty, and
+    /// one leaving in between went through a drain-type section, which
+    /// moved the stamp (DESIGN.md §13.3).
     pub(crate) fn empty_stamp(&self) -> Option<u64> {
-        if self.state.load(Ordering::Acquire) != 0 {
+        if self.borrow.load(Ordering::Acquire) != 0 || self.publishers.load(Ordering::Acquire) != 0
+        {
             return None;
         }
         let seq = self.top_seq.load(Ordering::Acquire);
@@ -339,7 +361,8 @@ impl<V> fmt::Debug for Lane<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The heap is not readable without the borrow; report the words.
         f.debug_struct("Lane")
-            .field("state", &self.state.load(Ordering::Relaxed))
+            .field("borrowed", &(self.borrow.load(Ordering::Relaxed) != 0))
+            .field("publishers", &self.publishers.load(Ordering::Relaxed))
             .field("top", &self.top.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -347,7 +370,8 @@ impl<V> fmt::Debug for Lane<V> {
 
 /// RAII witness of the exclusive borrow; dereferences to the lane heap.
 /// Release folds the side-buffer once more, republishes `top`, closes the
-/// seqlock section (drain-type only) and clears the `EXCL` bit.
+/// seqlock section (drain-type only) and clears the borrow word with a
+/// plain store.
 pub(crate) struct LaneGuard<'a, V> {
     lane: &'a Lane<V>,
     drain: bool,
@@ -358,6 +382,12 @@ impl<V> LaneGuard<'_, V> {
     /// acquire and release automatically; the shrink path also calls it
     /// explicitly after [`Lane::wait_inserters_idle`].
     pub(crate) fn fold(&mut self) {
+        // Nothing pushed since the last fold: return on the lane's own
+        // words, before touching the stub node (another allocation, whose
+        // line a side publisher's link store writes).
+        if self.lane.side.is_drained() {
+            return;
+        }
         let mut folded = 0;
         // SAFETY: the guard witnesses `EXCL`, satisfying `pop`'s
         // single-consumer requirement; the heap reference is unique for
@@ -405,7 +435,9 @@ impl<V> Drop for LaneGuard<'_, V> {
             let s = self.lane.top_seq.load(Ordering::Relaxed);
             self.lane.top_seq.store(s + 1, Ordering::Release); // even again
         }
-        self.lane.state.fetch_and(!EXCL, Ordering::Release);
+        // Only the holder writes the borrow word while `EXCL` is set (a
+        // loser's `fetch_or` rewrites the same value), so a store releases.
+        self.lane.borrow.store(0, Ordering::Release);
     }
 }
 
@@ -472,6 +504,76 @@ mod tests {
         assert_eq!(lane.sample_top(), Some(EMPTY_TOP));
         assert_eq!(lane.approx_len(), 0);
         assert_eq!(lane.empty_stamp(), Some(2), "two drain sections, even");
+    }
+
+    /// The layout the module docs promise: every word the borrow holder
+    /// writes on the slot's first line, every word a side publisher writes
+    /// on its second, and still one 128-byte slot per lane. (The explorer's
+    /// atomic wrappers are laid out differently, hence the gate.)
+    #[cfg(not(feature = "check"))]
+    #[test]
+    fn holder_and_publisher_words_sit_on_separate_lines() {
+        use crossbeam_utils::CachePadded;
+        use std::mem::{offset_of, size_of};
+        type L = Lane<u64>;
+        let holder = [
+            ("borrow", offset_of!(L, borrow), size_of::<AtomicU64>()),
+            ("top_seq", offset_of!(L, top_seq), size_of::<AtomicU64>()),
+            ("top", offset_of!(L, top), size_of::<AtomicU64>()),
+            ("len", offset_of!(L, len), size_of::<AtomicUsize>()),
+            ("heap", offset_of!(L, heap), size_of::<BinaryHeap<u64>>()),
+        ];
+        for (name, offset, size) in holder {
+            assert!(
+                offset + size <= 64,
+                "holder word `{name}` at {offset}+{size}"
+            );
+        }
+        let publisher = [
+            (
+                "tail",
+                offset_of!(L, side) + offset_of!(SideQueue<u64>, tail),
+                size_of::<AtomicPtr<SideNode<u64>>>(),
+            ),
+            (
+                "side_len",
+                offset_of!(L, side_len),
+                size_of::<AtomicUsize>(),
+            ),
+            (
+                "publishers",
+                offset_of!(L, publishers),
+                size_of::<AtomicU64>(),
+            ),
+        ];
+        for (name, offset, size) in publisher {
+            assert!(
+                (64..=128 - size).contains(&offset),
+                "publisher word `{name}` at {offset}+{size}"
+            );
+        }
+        assert_eq!(
+            size_of::<CachePadded<L>>(),
+            128,
+            "one 128-byte slot per lane"
+        );
+    }
+
+    /// The release store clears the borrow only: a publisher that
+    /// registered during the section is still counted afterwards.
+    #[test]
+    fn release_keeps_a_publisher_registered_and_debug_shows_both_words() {
+        let lane: Lane<u32> = Lane::new();
+        let g = lane.try_exclusive(false).expect("uncontended");
+        lane.register_inserter();
+        let shown = format!("{lane:?}");
+        assert!(shown.contains("borrowed: true, publishers: 1"), "{shown}");
+        drop(g);
+        let shown = format!("{lane:?}");
+        assert!(shown.contains("borrowed: false, publishers: 1"), "{shown}");
+        assert_eq!(lane.empty_stamp(), None, "publisher still in flight");
+        lane.deregister_inserter();
+        assert_eq!(lane.empty_stamp(), Some(0));
     }
 
     #[test]

@@ -52,8 +52,9 @@
 //! # No global state on the hot path
 //!
 //! Like the paper's MultiQueue, the engine keeps no structure-wide counter:
-//! an uncontended insert or removal writes only the borrow word, top and
-//! length of the lane it visits. Element counts live per lane
+//! an uncontended insert or removal writes only the borrow word, top,
+//! length and heap header of the lane it visits — one cache line, with one
+//! atomic RMW (the borrow's `fetch_or`). Element counts live per lane
 //! ([`approx_len`](SharedPq::approx_len) sums them), and the
 //! *quiescent-empty* claim a failed removal reports is a **double collect**
 //! over every allocated lane, bracketed by a resize sequence number so
@@ -837,13 +838,9 @@ impl<V> MultiQueue<V> {
             }
         }
         // Try the candidate first, then every other lane.
-        let order: Vec<usize> = match best {
-            Some((_, i)) => std::iter::once(i)
-                .chain((0..self.lanes.len()).filter(move |&j| j != i))
-                .collect(),
-            None => (0..self.lanes.len()).collect(),
-        };
-        for i in order {
+        let first = best.map(|(_, i)| i);
+        let rest = (0..self.lanes.len()).filter(|&j| Some(j) != first);
+        for i in first.into_iter().chain(rest) {
             let mut guard = self.lanes[i].exclusive_blocking(true);
             let drained = self.drain_heap(&mut guard, max, out, log.as_deref_mut());
             if drained > 0 {

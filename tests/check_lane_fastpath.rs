@@ -8,14 +8,15 @@
 //!    under the exclusive borrow; the global counter is gone since, and the
 //!    per-lane counts must keep the same bounds).
 //! 2. **A coarsened model of the lane protocol** (DESIGN.md §13): the borrow
-//!    word, the seqlock-stamped top, the side-buffer fold points, the
-//!    Dekker-style publisher-count/shrink pairing and the double-collect
-//!    quiescent-empty claim, each proven exhaustively clean — and each
-//!    tempting shortcut (top published before the heap update, side-buffer
-//!    folded after the pop, borrow counter decremented before the push
-//!    lands, a single collect, a collect that ignores the side-buffer
-//!    `tail`) shown to fail, with the failing schedule replayed live and
-//!    from a pinned string.
+//!    word, the publisher word, the seqlock-stamped top, the side-buffer
+//!    fold points, the Dekker-style publisher-count/shrink pairing and the
+//!    double-collect quiescent-empty claim, each proven exhaustively clean
+//!    — and each tempting shortcut (top published before the heap update,
+//!    side-buffer folded after the pop, publisher count decremented before
+//!    the push lands, the count packed into a borrow word that is released
+//!    with a store, a single collect, a collect that ignores the
+//!    side-buffer `tail`) shown to fail, with the failing schedule replayed
+//!    live and from a pinned string.
 //!
 //! Run with: `cargo test --features check --test check_lane_fastpath`
 
@@ -86,8 +87,9 @@ fn batched_insert_never_underflows_len() {
 // Coarsened protocol model (DESIGN.md §13).
 //
 // `crate::lane::Lane` reduced to what the protocol orders: the borrow word
-// (`EXCL` bit + publisher count), the seqlock stamp, the published top and
-// the side-buffer's producer `tail` / consumer `head`. Each model moves a
+// (`EXCL` or 0, released with a plain store), the publisher word (in-flight
+// side publishers), the seqlock stamp, the published top and the
+// side-buffer's producer `tail` / consumer `head`. Each model moves a
 // single element (key 5), so the heap and the side-buffer coarsen to
 // one-element atomic slots (0 = empty) and `tail`/`head` to counters of
 // pushes started / consumed — the real heap is an `UnsafeCell` proven unique
@@ -105,6 +107,8 @@ fn batched_insert_never_underflows_len() {
 
 const EMPTY: u64 = u64::MAX;
 const EXCL: u64 = 1 << 63;
+/// Low bits of a borrow word that also carries the publisher count (the
+/// `split_publisher_word: false` variant only).
 const COUNT_MASK: u64 = EXCL - 1;
 
 /// Which orderings the model performs faithfully. Each `false` is one of
@@ -120,6 +124,10 @@ struct Variant {
     /// Keep the publisher count up until the side push lands (the real
     /// protocol); `false` is the blind decrement before the push.
     deregister_after_push: bool,
+    /// Count publishers on a word of their own (the real protocol);
+    /// `false` packs the count into the borrow word, whose release is still
+    /// a plain store — so a release wipes in-flight registrations.
+    split_publisher_word: bool,
     /// Read every lane twice and claim emptiness only if both collects
     /// agree (the real protocol); `false` trusts a single collect.
     double_collect: bool,
@@ -132,14 +140,17 @@ const FAITHFUL: Variant = Variant {
     top_after_element: true,
     fold_before_pop: true,
     deregister_after_push: true,
+    split_publisher_word: true,
     double_collect: true,
     collect_reads_tail: true,
 };
 
 /// One lane, coarsened to single-element heap/side slots.
 struct LaneModel {
-    /// Borrow word: bit 63 exclusive, low bits in-flight side publishers.
-    state: AtomicU64,
+    /// Borrow word: [`EXCL`] while borrowed, 0 otherwise.
+    borrow: AtomicU64,
+    /// Publisher word: in-flight side publishers.
+    publishers: AtomicU64,
     /// Seqlock stamp: odd while a drain-type exclusive section runs.
     top_seq: AtomicU64,
     /// Published cached minimum ([`EMPTY`] for an empty lane).
@@ -159,7 +170,8 @@ struct LaneModel {
 impl LaneModel {
     fn new() -> Self {
         Self {
-            state: AtomicU64::new(0),
+            borrow: AtomicU64::new(0),
+            publishers: AtomicU64::new(0),
             top_seq: AtomicU64::new(0),
             top: AtomicU64::new(EMPTY),
             side: AtomicU64::new(0),
@@ -174,6 +186,26 @@ impl LaneModel {
     fn ghost(&self, delta: i64) {
         self.present
             .fetch_add(delta as u64, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// The word side publishers register in: its own, or — in the packed
+    /// variant — the borrow word.
+    fn publisher_word(&self, variant: Variant) -> &AtomicU64 {
+        if variant.split_publisher_word {
+            &self.publishers
+        } else {
+            &self.borrow
+        }
+    }
+
+    /// `try_exclusive`: one `fetch_or`; `false` when already borrowed.
+    fn try_borrow(&self) -> bool {
+        self.borrow.fetch_or(EXCL, Ordering::AcqRel) & EXCL == 0
+    }
+
+    /// `LaneGuard::drop`'s release: a plain store.
+    fn release(&self) {
+        self.borrow.store(0, Ordering::Release);
     }
 
     /// The wait-free side push: `tail` swap (the element is now in the
@@ -206,7 +238,8 @@ impl LaneModel {
     /// One read of the quiescent-empty collect (`Lane::empty_stamp`):
     /// the stamp when the lane reads settled empty.
     fn empty_stamp(&self, variant: Variant) -> Option<u64> {
-        if self.state.load(Ordering::Acquire) != 0 {
+        if self.borrow.load(Ordering::Acquire) != 0 || self.publishers.load(Ordering::Acquire) != 0
+        {
             return None;
         }
         let seq = self.top_seq.load(Ordering::Acquire);
@@ -237,8 +270,7 @@ fn phantom_top_model(variant: Variant) {
     let lane = Arc::new(LaneModel::new());
     let li = Arc::clone(&lane);
     let inserter = check::spawn(move || {
-        let prev = li.state.fetch_or(EXCL, Ordering::AcqRel);
-        assert_eq!(prev & EXCL, 0, "sole borrower in this model");
+        assert!(li.try_borrow(), "sole borrower in this model");
         // Insert-type section: the seqlock stamp stays even throughout.
         if variant.top_after_element {
             li.heap.store(5, Ordering::Release);
@@ -247,7 +279,7 @@ fn phantom_top_model(variant: Variant) {
             li.top.store(5, Ordering::Release); // advertised before it exists
             li.heap.store(5, Ordering::Release);
         }
-        li.state.fetch_and(!EXCL, Ordering::Release);
+        li.release();
     });
     let ls = Arc::clone(&lane);
     let sampler = check::spawn(move || {
@@ -328,16 +360,15 @@ fn side_fold_model(variant: Variant) {
     let inserter = check::spawn(move || {
         // The side-publish path: register, push, deregister. (`tail` is
         // left out: no collector reads it here, and the DFS stays small.)
-        li.state.fetch_add(1, Ordering::SeqCst);
+        li.publishers.fetch_add(1, Ordering::SeqCst);
         li.side.store(5, Ordering::Release);
-        li.state.fetch_sub(1, Ordering::Release);
+        li.publishers.fetch_sub(1, Ordering::Release);
         done_w.store(1, Ordering::Release);
     });
     let (ld, done_r) = (Arc::clone(&lane), Arc::clone(&done));
     let drainer = check::spawn(move || {
         let insert_was_complete = done_r.load(Ordering::Acquire) == 1;
-        let prev = ld.state.fetch_or(EXCL, Ordering::AcqRel);
-        assert_eq!(prev & EXCL, 0, "side publishers never hold the borrow");
+        assert!(ld.try_borrow(), "side publishers never hold the borrow");
         if variant.fold_before_pop {
             ld.fold();
         }
@@ -345,7 +376,7 @@ fn side_fold_model(variant: Variant) {
         if !variant.fold_before_pop {
             ld.fold();
         }
-        ld.state.fetch_and(!EXCL, Ordering::Release);
+        ld.release();
         if insert_was_complete {
             assert_eq!(
                 popped,
@@ -419,26 +450,25 @@ fn shrink_idle_model(variant: Variant) {
     let floor = Arc::new(AtomicU64::new(0)); // surviving lane 0, coarsened
     let (li, ai, fi) = (Arc::clone(&lane), Arc::clone(&active), Arc::clone(&floor));
     let inserter = check::spawn(move || {
-        // side_publish_one: register, revalidate against the table, push.
-        li.state.fetch_add(1, Ordering::SeqCst);
+        // side_publish: register, revalidate against the table, push.
+        li.publishers.fetch_add(1, Ordering::SeqCst);
         if ai.load(Ordering::SeqCst) < 2 {
             // Revalidation failed: the lane is retiring; reroute.
-            li.state.fetch_sub(1, Ordering::Release);
+            li.publishers.fetch_sub(1, Ordering::Release);
             fi.store(5, Ordering::Release);
         } else if variant.deregister_after_push {
             li.side.store(5, Ordering::Release);
-            li.state.fetch_sub(1, Ordering::Release);
+            li.publishers.fetch_sub(1, Ordering::Release);
         } else {
-            li.state.fetch_sub(1, Ordering::Release); // blind decrement
+            li.publishers.fetch_sub(1, Ordering::Release); // blind decrement
             li.side.store(5, Ordering::Release);
         }
     });
     let (ls, table, fs) = (Arc::clone(&lane), Arc::clone(&active), Arc::clone(&floor));
     let shrinker = check::spawn(move || {
         table.store(1, Ordering::SeqCst); // publish the shrunk table first (§7)
-        let prev = ls.state.fetch_or(EXCL, Ordering::AcqRel);
-        assert_eq!(prev & EXCL, 0, "side publishers never hold the borrow");
-        let retired = if ls.state.load(Ordering::SeqCst) & COUNT_MASK == 0 {
+        assert!(ls.try_borrow(), "side publishers never hold the borrow");
+        let retired = if ls.publishers.load(Ordering::SeqCst) == 0 {
             // Idle observed: final fold, refugees to the surviving lane.
             let refugee = ls.side.swap(0, Ordering::AcqRel);
             if refugee != 0 {
@@ -448,7 +478,7 @@ fn shrink_idle_model(variant: Variant) {
         } else {
             false // the real shrinker would spin and re-read
         };
-        ls.state.fetch_and(!EXCL, Ordering::Release);
+        ls.release();
         retired
     });
     inserter.join();
@@ -498,6 +528,80 @@ fn blind_deregister_lets_shrink_retire_a_lane_mid_publish() {
     );
 }
 
+/// The idle read that the shrink's soundness rests on — "count zero means
+/// no push in flight" — must survive a borrow release. The lane starts
+/// exclusively borrowed (the situation that sends inserters down the side
+/// path); a publisher registers, pushes and deregisters while the model's
+/// main thread ends that section with the release's plain store, and a
+/// shrinker then takes the borrow and reads the count. `pending` is a
+/// ghost (no schedule point): 1 from the registration until the push
+/// lands. The store is sound only because the count lives on a word of
+/// its own; the packed variant's release wipes a registration made during
+/// the section, and the shrinker reads idle with the push still in flight.
+fn release_store_model(variant: Variant) {
+    let lane = Arc::new(LaneModel::new());
+    lane.borrow.store(EXCL, Ordering::Relaxed);
+    let pending = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let (lp, pp) = (Arc::clone(&lane), Arc::clone(&pending));
+    let publisher = check::spawn(move || {
+        let word = lp.publisher_word(variant);
+        word.fetch_add(1, Ordering::SeqCst);
+        pp.store(1, std::sync::atomic::Ordering::SeqCst);
+        lp.side.store(5, Ordering::Release);
+        pp.store(0, std::sync::atomic::Ordering::SeqCst);
+        word.fetch_sub(1, Ordering::Release);
+    });
+    lane.release(); // the holder's section ends
+    let (ls, ps) = (Arc::clone(&lane), Arc::clone(&pending));
+    let shrinker = check::spawn(move || {
+        if !ls.try_borrow() {
+            return; // the real shrinker would spin for the borrow
+        }
+        let count = ls.publisher_word(variant).load(Ordering::SeqCst) & COUNT_MASK;
+        let in_flight = ps.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            count != 0 || in_flight == 0,
+            "wiped publisher: the shrinker read idle with a push in flight"
+        );
+        ls.release();
+    });
+    publisher.join();
+    shrinker.join();
+}
+
+#[test]
+fn faithful_release_store_keeps_every_publisher_counted() {
+    let report = check::explore(check::Config::dfs(100_000), || {
+        release_store_model(FAITHFUL)
+    })
+    .expect("a release store on the borrow word leaves the publisher word alone");
+    assert!(report.exhausted, "model small enough to exhaust");
+}
+
+#[test]
+fn store_release_of_a_packed_borrow_word_wipes_a_publisher() {
+    let variant = Variant {
+        split_publisher_word: false,
+        ..FAITHFUL
+    };
+    let failure = check::explore(check::Config::dfs(100_000), move || {
+        release_store_model(variant)
+    })
+    .expect_err("a store release of a packed word drops in-flight registrations");
+    assert!(
+        failure.message.contains("wiped publisher"),
+        "unexpected failure: {failure}"
+    );
+    let replayed = check::replay(&failure.schedule, move || release_store_model(variant))
+        .expect_err("failing schedule must replay deterministically");
+    assert_eq!(replayed.message, failure.message);
+    assert_eq!(
+        failure.schedule, PINNED_WIPED_PUBLISHER,
+        "DFS is deterministic: first failing schedule is stable; \
+         update the pinned constant if the model legitimately changed"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Property 4: the quiescent-empty claim is sound — a double collect that
 // reads the lane settled empty twice, with the same stamp, brackets an
@@ -535,26 +639,24 @@ fn empty_claim_model(variant: Variant, mutator: Mutator) {
     let lm = Arc::clone(&lane);
     let worker = check::spawn(move || match mutator {
         Mutator::SidePublish => {
-            lm.state.fetch_add(1, Ordering::SeqCst);
+            lm.publishers.fetch_add(1, Ordering::SeqCst);
             lm.side_push(5);
-            lm.state.fetch_sub(1, Ordering::Release);
+            lm.publishers.fetch_sub(1, Ordering::Release);
         }
         Mutator::DirectInsert => {
-            let prev = lm.state.fetch_or(EXCL, Ordering::AcqRel);
-            assert_eq!(prev & EXCL, 0, "sole borrower in this model");
+            assert!(lm.try_borrow(), "sole borrower in this model");
             lm.heap.store(5, Ordering::Release);
             lm.ghost(1);
             lm.top.store(5, Ordering::Release);
-            lm.state.fetch_and(!EXCL, Ordering::Release);
+            lm.release();
         }
         Mutator::Drain => {
-            let prev = lm.state.fetch_or(EXCL, Ordering::AcqRel);
-            assert_eq!(prev & EXCL, 0, "sole borrower in this model");
+            assert!(lm.try_borrow(), "sole borrower in this model");
             lm.top_seq.store(1, Ordering::Release); // odd: mid-drain
             assert_eq!(lm.pop_min(), Some(5));
             lm.top.store(EMPTY, Ordering::Release);
             lm.top_seq.store(2, Ordering::Release); // even again
-            lm.state.fetch_and(!EXCL, Ordering::Release);
+            lm.release();
         }
     });
     let lc = Arc::clone(&lane);
@@ -579,8 +681,9 @@ fn empty_claim_model(variant: Variant, mutator: Mutator) {
 
 #[test]
 fn faithful_double_collect_never_claims_a_held_element_empty() {
+    // The side-publish space is the largest: ~116k schedules.
     for mutator in [Mutator::SidePublish, Mutator::DirectInsert, Mutator::Drain] {
-        let report = check::explore(check::Config::dfs(100_000), move || {
+        let report = check::explore(check::Config::dfs(200_000), move || {
             empty_claim_model(FAITHFUL, mutator)
         })
         .unwrap_or_else(|f| panic!("{mutator:?}: agreeing collects bracket an empty instant: {f}"));
@@ -672,6 +775,14 @@ fn pinned_schedules_replay_every_broken_variant() {
     })
     .expect_err("pinned stranded-element schedule still fails");
     assert!(stranded.message.contains("stranded element"));
+    let wiped = check::replay(PINNED_WIPED_PUBLISHER, || {
+        release_store_model(Variant {
+            split_publisher_word: false,
+            ..FAITHFUL
+        })
+    })
+    .expect_err("pinned wiped-publisher schedule still fails");
+    assert!(wiped.message.contains("wiped publisher"));
     for (pinned, variant, mutator) in [
         (
             PINNED_SINGLE_COLLECT,
@@ -702,7 +813,9 @@ const PINNED_PHANTOM_TOP: &str = "0,0,0,1,1,1,2,2,2,2,1,1,0,2";
 const PINNED_STALE_DRAIN: &str = "0,0,0,1,1,1,1,1,0,2,2,2,2,2,2,2,2";
 /// First failing DFS schedule for the blind-decrement variant.
 const PINNED_STRANDED: &str = "0,0,0,1,1,1,1,2,2,2,2,2,1,0,2,0,0";
+/// First failing DFS schedule for the packed borrow word released by a store.
+const PINNED_WIPED_PUBLISHER: &str = "0,0,0,1,1,0,0,2,2,2";
 /// First failing DFS schedule for the single-collect variant.
-const PINNED_SINGLE_COLLECT: &str = "0,0,0,1,2,2,1,1,2,2,1,1,0,2,2";
+const PINNED_SINGLE_COLLECT: &str = "0,0,0,1,2,2,1,1,2,2,2,1,1,0,2,2";
 /// First failing DFS schedule for the collect that ignores `tail`.
-const PINNED_TAILLESS_COLLECT: &str = "0,0,0,1,1,1,1,1,0,2,2,2,2,2,2,2";
+const PINNED_TAILLESS_COLLECT: &str = "0,0,0,1,1,1,1,1,0,2,2,2,2,2,2,2,2,2";
